@@ -36,7 +36,7 @@ print(specs_to_json(specs))
 
 t0 = time.perf_counter()
 generate(specs, out_dir)
-samples = extract_samples(f"{out_dir}/manifest.jsonl", THETA, TAU, jobs=1)
+samples = extract_samples(f"{out_dir}/manifest.jsonl", THETA, TAU)
 print(f"{len(samples)} feature vectors in {time.perf_counter() - t0:.2f}s")
 
 # Half the data trains, a quarter validates (the MLP picks its snapshot by

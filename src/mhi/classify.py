@@ -24,12 +24,14 @@ from . import serialize
 from .errors import (
     EmptySplitError,
     EmptyTrainingError,
+    ModelFormatError,
     NonFiniteLossError,
     SingleClassError,
     StratificationError,
     UnknownLabelError,
 )
 from .moments import LabeledSample
+from .temporal import require_theta
 
 #: Slack absorbing float representation error in ratio * count products.
 _RATIO_SLACK = 1e-9
@@ -451,34 +453,50 @@ class TrainedModel:
         return serialize.dump_bytes(self.to_document())
 
     @classmethod
-    def from_document(cls, doc: dict) -> "TrainedModel":
-        if doc.get("version") != 1:
-            raise ValueError(f"unsupported model version: {doc.get('version')}")
-        kind = doc["classifier"]
+    def from_document(cls, doc: dict, feature_dim: int | None = None) -> "TrainedModel":
+        """Rebuild a model, checking every field's presence and shape.
+
+        The feature width is ``feature_dim`` if given, else that of the
+        standardizer mean; every other array must agree with it.
+        """
+        if _field(doc, "version") != 1:
+            raise ModelFormatError(f"unsupported model version: {doc['version']}")
+        kind = _field(doc, "classifier")
         if kind not in ("knn", "mlp"):
-            raise ValueError(f"unknown classifier type: {kind!r}")
-        standardizer = Standardizer(
-            mean=np.array(doc["standardizer"]["mean"], dtype=np.float64),
-            std=np.array(doc["standardizer"]["std"], dtype=np.float64),
-        )
+            raise ModelFormatError(f"unknown classifier type: {kind!r}")
+        mean = _array(doc, "standardizer.mean", (feature_dim,))
+        width = len(mean)
+        standardizer = Standardizer(mean=mean, std=_array(doc, "standardizer.std", (width,)))
         knn = mlp = None
         if kind == "knn":
+            labels = list(_field(doc, "knn.labels"))
             knn = KnnModel(
-                k=int(doc["knn"]["k"]),
-                vectors=np.array(doc["knn"]["vectors"], dtype=np.float64),
-                labels=list(doc["knn"]["labels"]),
+                k=int(_field(doc, "knn.k")),
+                vectors=_array(doc, "knn.vectors", (len(labels), width)),
+                labels=labels,
             )
         else:
+            labels = list(_field(doc, "labels"))
+            sizes = [int(s) for s in _field(doc, "mlp.sizes")]
+            if len(sizes) < 2 or sizes[0] != width or sizes[-1] != len(labels):
+                raise ModelFormatError(
+                    f"mlp.sizes {sizes} must run from {width} inputs "
+                    f"to {len(labels)} labels"
+                )
+            layers = range(len(sizes) - 1)
             mlp = MlpModel(
-                sizes=[int(s) for s in doc["mlp"]["sizes"]],
-                weights=[np.array(w, dtype=np.float64) for w in doc["mlp"]["weights"]],
-                biases=[np.array(b, dtype=np.float64) for b in doc["mlp"]["biases"]],
-                labels=list(doc["labels"]),
+                sizes=sizes,
+                weights=[_array(doc, f"mlp.weights.{l}", sizes[l : l + 2]) for l in layers],
+                biases=[_array(doc, f"mlp.biases.{l}", sizes[l + 1 : l + 2]) for l in layers],
+                labels=labels,
             )
+        tau = int(_field(doc, "tau"))
+        if tau < 1:
+            raise ModelFormatError(f"tau must be >= 1, got {tau}")
         return cls(
             classifier=kind,
-            tau=int(doc["tau"]),
-            theta=float(doc["theta"]),
+            tau=tau,
+            theta=require_theta(float(_field(doc, "theta"))),
             standardizer=standardizer,
             knn=knn,
             mlp=mlp,
@@ -489,6 +507,33 @@ class TrainedModel:
             fh.write(self.to_bytes())
 
     @classmethod
-    def load(cls, path: str | os.PathLike) -> "TrainedModel":
+    def load(cls, path: str | os.PathLike, feature_dim: int | None = None) -> "TrainedModel":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_document(json.load(fh))
+            try:
+                return cls.from_document(json.load(fh), feature_dim)
+            except (ValueError, TypeError) as exc:
+                raise ModelFormatError(f"{path}: {exc}") from exc
+
+
+def _field(doc, path: str):
+    """The value at a dotted ``path`` of a model document; list indices are
+    digits."""
+    value = doc
+    for key in path.split("."):
+        if isinstance(value, list) and key.isdigit() and int(key) < len(value):
+            value = value[int(key)]
+        elif isinstance(value, dict) and key in value:
+            value = value[key]
+        else:
+            raise ModelFormatError(f"model document lacks {path!r}")
+    return value
+
+
+def _array(doc, path: str, shape) -> np.ndarray:
+    """A float64 array field of ``shape``, where ``None`` allows any length."""
+    array = np.array(_field(doc, path), dtype=np.float64)
+    if array.ndim != len(shape) or any(
+        want is not None and got != want for got, want in zip(array.shape, shape)
+    ):
+        raise ModelFormatError(f"{path} has shape {array.shape}, expected {tuple(shape)}")
+    return array

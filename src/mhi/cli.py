@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import logging
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .imgio import (
 )
 from .moments import FEATURE_DIM, LabeledSample, feature_vector
 from .synth import generate, parse_specs
-from .temporal import build_template, normalize_mhi
+from .temporal import build_template, normalize_mhi, require_theta
 
 log = logging.getLogger("mhi")
 
@@ -74,12 +74,11 @@ def _positive(value: str) -> int:
     return number
 
 
-def _pmap(fn, items, jobs: int) -> list:
-    """Order-preserving map, optionally across a thread pool."""
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+def _theta(value: str) -> float:
+    try:
+        return require_theta(float(value))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _write_out(path: str | None, text: str) -> None:
@@ -93,57 +92,66 @@ def _write_out(path: str | None, text: str) -> None:
 # --- feature CSV ---
 
 def features_to_csv(samples: list[LabeledSample]) -> str:
-    lines = [FEATURE_HEADER]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    # The minimal writer leaves a lone "\r" unquoted, and the reader splits
+    # rows on it; rows holding one are quoted in full.
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(FEATURE_HEADER.split(","))
     for sample in samples:
-        values = ",".join(serialize.format_float(v) for v in sample.features)
-        lines.append(f"{sample.label},{sample.source},{values}")
-    return "\n".join(lines) + "\n"
+        row = [sample.label, sample.source,
+               *(serialize.format_float(v) for v in sample.features)]
+        (quoted if "\r" in sample.label + sample.source else writer).writerow(row)
+    return out.getvalue()
 
 
 def read_features_csv(path: str) -> list[LabeledSample]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != FEATURE_HEADER.split(","):
-        raise MhiError(f"{path}: not a feature CSV (bad header)")
     samples = []
-    for row in rows[1:]:
-        if len(row) != 2 + FEATURE_DIM:
-            raise MhiError(f"{path}: row has {len(row)} fields, expected {2 + FEATURE_DIM}")
-        features = np.array([float(v) for v in row[2:]], dtype=np.float64)
-        samples.append(LabeledSample(features=features, label=row[0], source=row[1]))
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != FEATURE_HEADER.split(","):
+            raise MhiError(f"{path}: not a feature CSV (bad header)")
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if len(row) != 2 + FEATURE_DIM:
+                raise MhiError(f"{where}: row has {len(row)} fields, expected {2 + FEATURE_DIM}")
+            try:
+                features = np.array([float(v) for v in row[2:]], dtype=np.float64)
+            except ValueError as exc:
+                raise MhiError(f"{where}: {exc}") from exc
+            if not np.all(np.isfinite(features)):
+                raise MhiError(f"{where}: non-finite feature value")
+            samples.append(LabeledSample(features=features, label=row[0], source=row[1]))
     return samples
 
 
-def extract_samples(
-    manifest: str, theta: float, tau: int, jobs: int = 1
-) -> list[LabeledSample]:
+def extract_samples(manifest: str, theta: float, tau: int) -> list[LabeledSample]:
     """Features for every manifest sequence; motion-free ones are skipped with
     a warning. Pipeline errors are re-raised with the sequence directory."""
     records = load_manifest_file(manifest)
     root = os.path.dirname(os.path.abspath(manifest))
-
-    def worker(record: SequenceRecord) -> LabeledSample | None:
+    samples = []
+    for record in records:
         try:
             seq = load_sequence(record, root=root)
             template = build_template(seq, theta=theta, tau=tau)
             features = feature_vector(template)
         except NoMotionError:
             log.warning("sequence %s: no motion, skipped", record.dir)
-            return None
+            continue
         except MhiError as exc:
             raise MhiError(f"sequence {record.dir}: {exc}") from exc
         first, last = template.frame_span
-        return LabeledSample(
+        samples.append(LabeledSample(
             features=features,
             label=record.label or "",
             source=f"{record.dir}:{first}-{last}",
-        )
-
-    return [s for s in _pmap(worker, records, jobs) if s is not None]
+        ))
+    return samples
 
 
 def cmd_extract(args) -> int:
-    samples = extract_samples(args.manifest, args.theta, args.tau, args.jobs)
+    samples = extract_samples(args.manifest, args.theta, args.tau)
     _write_out(args.out, features_to_csv(samples))
     return 0
 
@@ -159,7 +167,7 @@ def cmd_train(args) -> int:
     if args.features:
         samples = read_features_csv(args.features)
     else:
-        samples = extract_samples(args.manifest, args.theta, args.tau, args.jobs)
+        samples = extract_samples(args.manifest, args.theta, args.tau)
     labeled = [s for s in samples if s.label]
     if len(labeled) < len(samples):
         log.warning("ignoring %d unlabeled sample(s)", len(samples) - len(labeled))
@@ -217,7 +225,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = TrainedModel.load(args.model)
+    model = TrainedModel.load(args.model, FEATURE_DIM)
     samples = read_features_csv(args.features)
     matrix, _ = evaluate(model, samples)
     _write_out(args.out, matrix.to_csv())
@@ -248,7 +256,6 @@ def predict_windows(
     seq: FrameSequence,
     window: int | None = None,
     stride: int | None = None,
-    jobs: int = 1,
 ) -> list[dict]:
     """Sliding-window labeling of a frame sequence.
 
@@ -295,14 +302,14 @@ def predict_windows(
             },
         }
 
-    return _pmap(worker, starts, jobs)
+    return [worker(offset) for offset in starts]
 
 
 def cmd_predict(args) -> int:
-    model = TrainedModel.load(args.model)
+    model = TrainedModel.load(args.model, FEATURE_DIM)
     record = _scan_frame_dir(args.frames)
     seq = load_sequence(record)
-    entries = predict_windows(model, seq, args.window, args.stride, args.jobs)
+    entries = predict_windows(model, seq, args.window, args.stride)
     _write_out(args.out, serialize.dumps(entries) + "\n")
     return 0
 
@@ -328,7 +335,7 @@ def cmd_synth(args) -> int:
 # --- parser wiring ---
 
 def _add_pipeline_flags(parser):
-    parser.add_argument("--theta", type=float, default=25.0,
+    parser.add_argument("--theta", type=_theta, default=25.0,
                         help="frame-difference threshold")
     parser.add_argument("--tau", type=_positive, default=300,
                         help="history window length in frames")
@@ -346,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="manifest of sequences -> feature CSV")
     p.add_argument("--manifest", required=True, help="JSON-lines sequence manifest")
     _add_pipeline_flags(p)
-    p.add_argument("--jobs", type=_positive, default=1, help="parallel workers")
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_extract)
 
@@ -365,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="MLP hidden layer sizes, comma-separated")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the split shuffle and MLP training")
-    p.add_argument("--jobs", type=_positive, default=1, help="parallel workers")
     p.add_argument("--out", required=True, help="model JSON output path")
     p.add_argument("--report", default=None,
                    help="report path (default: model path with .report.txt)")
@@ -386,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="window length in frames (default: model tau)")
     p.add_argument("--stride", type=_positive, default=None,
                    help="window step (default: window/2, min 1)")
-    p.add_argument("--jobs", type=_positive, default=1, help="parallel workers")
     p.add_argument("--out", default=None, help="JSON output path (default stdout)")
     p.set_defaults(func=cmd_predict)
 

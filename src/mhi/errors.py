@@ -96,5 +96,13 @@ class UnknownLabelError(MhiError):
     """Evaluation sample carries a label the model was not trained on."""
 
 
+class ModelFormatError(MhiError, ValueError):
+    """A model document lacks a field or holds a bad value or shape.
+
+    It is also a ``ValueError``, so callers that catch a bad version or
+    classifier type as one keep working.
+    """
+
+
 class SynthSpecError(MhiError):
     """Invalid synthetic clip specification."""

@@ -55,11 +55,15 @@ class FrameSequence:
         return self.frames.shape[0]
 
 
-def require_frame(frame: np.ndarray) -> np.ndarray:
-    """Validate that ``frame`` is a nonempty 2-D uint8 array and return it."""
+def require_frame(frame: np.ndarray, stack: bool = False) -> np.ndarray:
+    """Validate that ``frame`` is a nonempty 2-D uint8 array and return it.
+
+    With ``stack`` an ``(N, H, W)`` stack of such frames passes as well.
+    """
     frame = np.asarray(frame)
-    if frame.ndim != 2 or frame.size == 0:
-        raise ValueError(f"expected nonempty 2-D frame, got shape {frame.shape}")
+    if frame.ndim not in ((2, 3) if stack else (2,)) or 0 in frame.shape[-2:]:
+        kind = "2-D frame or (N, H, W) stack" if stack else "2-D frame"
+        raise ValueError(f"expected nonempty {kind}, got shape {frame.shape}")
     if frame.dtype != np.uint8:
         raise ValueError(f"expected uint8 frame, got {frame.dtype}")
     return frame

@@ -1,4 +1,4 @@
-"""Per-frame preprocessing that turns raw frames into clean binary motion masks.
+"""Preprocessing that turns raw frames into clean binary motion masks.
 
 Three stages, all bit-exact integer arithmetic so outputs are reproducible
 across platforms:
@@ -9,7 +9,9 @@ across platforms:
 3. ``morph_open``      -- morphological opening (erode, then dilate) with a
                           3x3 square element to delete isolated specks.
 
-Masks are uint8 arrays with values in {0, 1}.
+Every stage works on the last two axes, so one call handles a single
+``(H, W)`` frame or a whole ``(N, H, W)`` stack. Masks are uint8 arrays with
+values in {0, 1}.
 """
 
 from __future__ import annotations
@@ -20,25 +22,31 @@ from .errors import DimensionMismatchError
 from .imgio import require_frame
 
 
-def gaussian_smooth(frame: np.ndarray) -> np.ndarray:
-    """Smooth a frame with the separable binomial kernel [1,2,1]x[1,2,1]/16.
+def _pad_frame(frames: np.ndarray, mode: str) -> np.ndarray:
+    # Pad one pixel around each frame, never along the stack axis.
+    return np.pad(frames, [(0, 0)] * (frames.ndim - 2) + [(1, 1), (1, 1)], mode=mode)
+
+
+def gaussian_smooth(frames: np.ndarray) -> np.ndarray:
+    """Smooth frames with the separable binomial kernel [1,2,1]x[1,2,1]/16.
 
     Borders are handled by edge replication. The division by 16 rounds to the
     nearest integer with ties rounding up, so a constant image is preserved
     exactly.
     """
-    frame = require_frame(frame)
-    acc = np.pad(frame, 1, mode="edge").astype(np.uint32)
+    frames = require_frame(frames, stack=True)
+    # The largest sum is 16 * 255 + 8, which fits uint16.
+    acc = _pad_frame(frames, "edge").astype(np.uint16)
     # Horizontal then vertical [1, 2, 1] pass; order does not matter.
-    acc = acc[:, :-2] + 2 * acc[:, 1:-1] + acc[:, 2:]
-    acc = acc[:-2, :] + 2 * acc[1:-1, :] + acc[2:, :]
+    acc = acc[..., :-2] + 2 * acc[..., 1:-1] + acc[..., 2:]
+    acc = acc[..., :-2, :] + 2 * acc[..., 1:-1, :] + acc[..., 2:, :]
     return ((acc + 8) >> 4).astype(np.uint8)
 
 
 def frame_diff(prev: np.ndarray, curr: np.ndarray, theta: float) -> np.ndarray:
     """Binary motion mask: 1 where |curr - prev| is strictly above ``theta``."""
-    prev = require_frame(prev)
-    curr = require_frame(curr)
+    prev = require_frame(prev, stack=True)
+    curr = require_frame(curr, stack=True)
     if prev.shape != curr.shape:
         raise DimensionMismatchError(
             f"frame shapes differ: {prev.shape} vs {curr.shape}"
@@ -47,26 +55,13 @@ def frame_diff(prev: np.ndarray, curr: np.ndarray, theta: float) -> np.ndarray:
     return (diff > theta).astype(np.uint8)
 
 
-def _erode(mask: np.ndarray) -> np.ndarray:
-    # 3x3 all-ones element; out-of-bounds neighbors count as 0, so border
-    # pixels are always eroded.
-    padded = np.pad(mask, 1, mode="constant", constant_values=0)
-    out = padded[1:-1, 1:-1].copy()
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            np.minimum(out, padded[1 + dy : padded.shape[0] - 1 + dy,
-                                   1 + dx : padded.shape[1] - 1 + dx], out=out)
-    return out
-
-
-def _dilate(mask: np.ndarray) -> np.ndarray:
-    padded = np.pad(mask, 1, mode="constant", constant_values=0)
-    out = padded[1:-1, 1:-1].copy()
-    for dy in (-1, 0, 1):
-        for dx in (-1, 0, 1):
-            np.maximum(out, padded[1 + dy : padded.shape[0] - 1 + dy,
-                                   1 + dx : padded.shape[1] - 1 + dx], out=out)
-    return out
+def _square3(mask: np.ndarray, op) -> np.ndarray:
+    # 3x3 square ``op`` (np.minimum: erosion, np.maximum: dilation) as a 3-tap
+    # pass along rows, then along columns. Out-of-bounds neighbors count as 0,
+    # so border pixels are always eroded.
+    padded = _pad_frame(mask, "constant")
+    rows = op(op(padded[..., :-2], padded[..., 1:-1]), padded[..., 2:])
+    return op(op(rows[..., :-2, :], rows[..., 1:-1, :]), rows[..., 2:, :])
 
 
 def morph_open(mask: np.ndarray) -> np.ndarray:
@@ -76,4 +71,4 @@ def morph_open(mask: np.ndarray) -> np.ndarray:
     shapes intact; the result is always a pixelwise subset of the input.
     """
     mask = np.asarray(mask, dtype=np.uint8)
-    return _dilate(_erode(mask))
+    return _square3(_square3(mask, np.minimum), np.maximum)

@@ -10,6 +10,7 @@ happened, regardless of when.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,18 +61,26 @@ def mhi_step(h_prev: MotionHistory, mask: np.ndarray) -> MotionHistory:
     return MotionHistory(values=values, tau=h_prev.tau)
 
 
-def motion_masks(frames: np.ndarray, theta: float) -> list[np.ndarray]:
+def require_theta(theta: float) -> float:
+    """Return ``theta`` if it is a usable difference threshold: finite, >= 0."""
+    if not 0 <= theta < math.inf:
+        raise ValueError(f"theta must be finite and >= 0, got {theta}")
+    return theta
+
+
+def motion_masks(frames: np.ndarray, theta: float) -> np.ndarray:
     """Cleaned binary masks for consecutive frame pairs.
 
     Each frame is smoothed, consecutive smoothed pairs are differenced against
-    ``theta``, and each difference is opened. A stack of N frames yields N-1
-    masks.
+    ``theta``, and each difference is opened. An ``(N, H, W)`` stack yields
+    one ``(N-1, H, W)`` mask stack.
     """
-    smoothed = [gaussian_smooth(f) for f in frames]
-    return [
-        morph_open(frame_diff(smoothed[i], smoothed[i + 1], theta))
-        for i in range(len(smoothed) - 1)
-    ]
+    require_theta(theta)
+    frames = np.asarray(frames)
+    if frames.ndim != 3:
+        raise ValueError(f"expected an (N, H, W) frame stack, got shape {frames.shape}")
+    smoothed = gaussian_smooth(frames)
+    return morph_open(frame_diff(smoothed[:-1], smoothed[1:], theta))
 
 
 def build_template(seq: FrameSequence, theta: float, tau: int) -> TemporalTemplate:
@@ -90,13 +99,13 @@ def build_template(seq: FrameSequence, theta: float, tau: int) -> TemporalTempla
 
     height, width = seq.frames.shape[1:]
     history = MotionHistory.zeros(height, width, tau)
-    mei = np.zeros((height, width), dtype=np.uint8)
     for mask in used:
         history = mhi_step(history, mask)
-        np.maximum(mei, mask, out=mei)
 
     first = seq.record.start + (n - 1 - len(used))
-    return TemporalTemplate(mhi=history, mei=mei, frame_span=(first, seq.record.end))
+    return TemporalTemplate(
+        mhi=history, mei=used.max(axis=0), frame_span=(first, seq.record.end)
+    )
 
 
 def normalize_mhi(mhi: MotionHistory) -> np.ndarray:

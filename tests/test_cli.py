@@ -5,6 +5,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mhi.cli import FEATURE_HEADER, features_to_csv, main, read_features_csv
 from mhi.imgio import (
@@ -68,17 +70,12 @@ def test_extract_csv_shape(workspace):
     assert len(first) == 18
 
 
-def test_extract_deterministic_and_parallel(workspace):
-    out_a = workspace["root"] / "again.csv"
-    out_b = workspace["root"] / "jobs.csv"
+def test_extract_deterministic(workspace):
+    out = workspace["root"] / "again.csv"
     manifest = str(workspace["clips"] / "manifest.jsonl")
     assert main(["extract", "--manifest", manifest, "--theta", THETA,
-                 "--tau", TAU, "--out", str(out_a)]) == 0
-    assert main(["extract", "--manifest", manifest, "--theta", THETA,
-                 "--tau", TAU, "--jobs", "4", "--out", str(out_b)]) == 0
-    reference = workspace["feats"].read_bytes()
-    assert out_a.read_bytes() == reference
-    assert out_b.read_bytes() == reference
+                 "--tau", TAU, "--out", str(out)]) == 0
+    assert out.read_bytes() == workspace["feats"].read_bytes()
 
 
 def test_extract_matches_library_pipeline(workspace):
@@ -105,11 +102,11 @@ def test_feature_csv_round_trip():
         np.testing.assert_array_equal(parsed.features, original.features)
 
 
-def read_features_csv_from_text(text, tmp_dir="/tmp"):
+def read_features_csv_from_text(text, tmp_dir=None):
     import tempfile
 
     with tempfile.NamedTemporaryFile(
-        "w", suffix=".csv", dir=tmp_dir, delete=False
+        "w", suffix=".csv", dir=tmp_dir, delete=False, encoding="utf-8", newline=""
     ) as fh:
         fh.write(text)
         path = fh.name
@@ -117,6 +114,52 @@ def read_features_csv_from_text(text, tmp_dir="/tmp"):
         return read_features_csv(path)
     finally:
         os.unlink(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    labels=st.lists(st.tuples(st.text(), st.text()), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_feature_csv_round_trip_arbitrary_labels(labels, seed):
+    # Commas, quotes and line breaks in labels or sources must read back.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    samples = [
+        LabeledSample(rng.standard_normal(16) * 10.0 ** rng.integers(-8, 8), label, source)
+        for label, source in labels
+    ]
+    back = read_features_csv_from_text(features_to_csv(samples))
+    assert [(s.label, s.source) for s in back] == labels
+    for original, parsed in zip(samples, back):
+        np.testing.assert_array_equal(parsed.features, original.features)
+
+
+def test_extract_label_with_comma_reads_back(workspace, tmp_path):
+    manifest = tmp_path / "manifest.jsonl"
+    clip = workspace["clips"] / "slide_000"
+    manifest.write_text(json.dumps(
+        {"dir": str(clip), "label": "sl,ide", "start": 0, "end": 11}) + "\n")
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--manifest", str(manifest), "--theta", THETA,
+                 "--tau", TAU, "--out", str(out)]) == 0
+    (sample,) = read_features_csv(str(out))
+    assert sample.label == "sl,ide"
+    assert sample.source == f"{clip}:0-11"
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "x"])
+def test_non_finite_feature_csv_exit_two(workspace, tmp_path, caplog, bad):
+    lines = workspace["feats"].read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[5] = bad
+    lines[3] = ",".join(fields)
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--model", str(workspace["knn"]),
+                 "--features", str(path)]) == 2
+    assert f"{path}: line 4" in caplog.text
+    assert main(["train", "--features", str(path), "--classifier", "knn",
+                 "--out", str(tmp_path / "m.json")]) == 2
 
 
 def test_train_model_documents(workspace):
@@ -271,6 +314,87 @@ def test_usage_errors_exit_one(workspace):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1
+
+
+@pytest.mark.parametrize("command", ["extract", "train", "predict"])
+def test_jobs_flag_removed(command):
+    argv = {
+        "extract": ["extract", "--manifest", "m.jsonl"],
+        "train": ["train", "--features", "f.csv", "--classifier", "knn", "--out", "m"],
+        "predict": ["predict", "--model", "m", "--frames", "f"],
+    }[command]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--jobs", "2"])
+    assert info.value.code == 1
+
+
+@pytest.mark.parametrize("theta", ["nan", "-1", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["extract", "train", "render"])
+def test_bad_theta_is_usage_error(workspace, command, theta):
+    argv = {
+        "extract": ["extract", "--manifest", str(workspace["clips"] / "manifest.jsonl")],
+        "train": ["train", "--features", str(workspace["feats"]), "--classifier", "knn",
+                  "--out", "m.json"],
+        "render": ["render", "--frames", str(workspace["clips"] / "slide_000"),
+                   "--out", "r"],
+    }[command]
+    with pytest.raises(SystemExit) as info:
+        main(argv + [f"--theta={theta}"])
+    assert info.value.code == 1
+
+
+def _drop(doc, *path):
+    for key in path[:-1]:
+        doc = doc[key]
+    del doc[path[-1]]
+
+
+def _narrow_vectors(doc):
+    doc["knn"]["vectors"] = [row[:5] for row in doc["knn"]["vectors"]]
+
+
+def _narrow_standardizer(doc):
+    doc["standardizer"]["mean"] = doc["standardizer"]["mean"][:15]
+
+
+def _transpose_weights(doc):
+    doc["mlp"]["weights"][1] = np.array(doc["mlp"]["weights"][1]).T.tolist()
+
+
+def _short_bias(doc):
+    doc["mlp"]["biases"][0] = doc["mlp"]["biases"][0][:-1]
+
+
+def _missing_layer(doc):
+    doc["mlp"]["weights"].pop()
+
+
+@pytest.mark.parametrize("kind, corrupt", [
+    ("knn", lambda doc: _drop(doc, "theta")),
+    ("knn", lambda doc: _drop(doc, "knn", "k")),
+    ("mlp", lambda doc: _drop(doc, "standardizer", "std")),
+    ("knn", _narrow_vectors),
+    ("knn", _narrow_standardizer),
+    ("mlp", _narrow_standardizer),
+    ("mlp", _transpose_weights),
+    ("mlp", _short_bias),
+    ("mlp", _missing_layer),
+    ("mlp", lambda doc: doc.update(labels=["a", "b"])),
+    ("knn", lambda doc: doc.update(theta=float("nan"))),
+    ("mlp", lambda doc: doc.update(tau=0)),
+], ids=["no-theta", "no-k", "no-std", "knn-width", "knn-mean-width", "mlp-mean-width",
+        "mlp-weight-shape", "mlp-bias-shape", "mlp-missing-layer", "mlp-label-count",
+        "nan-theta", "zero-tau"])
+def test_malformed_model_exit_two(workspace, tmp_path, caplog, kind, corrupt):
+    doc = json.loads(workspace[kind].read_text())
+    corrupt(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert main(["eval", "--model", str(model),
+                 "--features", str(workspace["feats"])]) == 2
+    assert str(model) in caplog.text
+    assert main(["predict", "--model", str(model),
+                 "--frames", str(workspace["clips"] / "slide_000")]) == 2
 
 
 def test_data_errors_exit_two(workspace, tmp_path):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mhi.errors import DimensionMismatchError
 from mhi.imgproc import frame_diff, gaussian_smooth, morph_open
@@ -117,3 +120,48 @@ def test_open_anti_extensive_and_idempotent():
         opened = morph_open(mask)
         assert np.all(opened <= mask)
         np.testing.assert_array_equal(morph_open(opened), opened)
+
+
+# --- whole (N, H, W) stacks against the per-frame oracles ---
+
+def stacks(max_frames=4, max_side=9):
+    shape = st.tuples(st.integers(1, max_frames), st.integers(1, max_side),
+                      st.integers(1, max_side))
+    return shape.flatmap(lambda s: arrays(np.uint8, s))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks())
+def test_smooth_stack_matches_oracle(frames):
+    got = gaussian_smooth(frames)
+    assert got.shape == frames.shape and got.dtype == np.uint8
+    for frame, smoothed in zip(frames, got):
+        np.testing.assert_array_equal(smoothed, smooth_oracle(frame))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks(), st.integers(0, 255))
+def test_frame_diff_stack_matches_per_pixel(frames, theta):
+    got = frame_diff(frames[:-1], frames[1:], float(theta))
+    assert got.shape == (len(frames) - 1, *frames.shape[1:])
+    for i, mask in enumerate(got):
+        prev, curr = frames[i].astype(int), frames[i + 1].astype(int)
+        np.testing.assert_array_equal(mask, (abs(curr - prev) > theta).astype(np.uint8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks().map(lambda f: f & 1))
+def test_open_stack_matches_oracle(masks):
+    got = morph_open(masks)
+    assert got.shape == masks.shape
+    for mask, opened in zip(masks, got):
+        np.testing.assert_array_equal(opened, dilate_oracle(erode_oracle(mask)))
+
+
+def test_stack_shape_errors():
+    with pytest.raises(ValueError):
+        gaussian_smooth(np.zeros((2, 0, 3), np.uint8))
+    with pytest.raises(ValueError):
+        gaussian_smooth(np.zeros((1, 2, 2, 2), np.uint8))
+    with pytest.raises(DimensionMismatchError):
+        frame_diff(np.zeros((2, 3, 3), np.uint8), np.zeros((3, 3, 3), np.uint8), 10)

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mhi.errors import DimensionMismatchError, TooFewFramesError
 from mhi.imgio import FrameSequence, SequenceRecord
+from mhi.imgproc import frame_diff, gaussian_smooth, morph_open
 from mhi.temporal import (
     MotionHistory,
     build_template,
@@ -159,3 +163,33 @@ def test_normalize_mhi_all_zero():
 def test_tau_validation():
     with pytest.raises(ValueError):
         MotionHistory.zeros(2, 2, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.integers(1, 5), st.integers(1, 8), st.integers(1, 8))
+    .flatmap(lambda shape: arrays(np.uint8, shape)),
+    st.floats(0, 300),
+)
+def test_motion_masks_match_per_frame_pipeline(frames, theta):
+    smoothed = [gaussian_smooth(f) for f in frames]
+    expected = [
+        morph_open(frame_diff(smoothed[i], smoothed[i + 1], theta))
+        for i in range(len(frames) - 1)
+    ]
+    got = motion_masks(frames, theta)
+    assert got.shape == (len(frames) - 1, *frames.shape[1:])
+    for mask, want in zip(got, expected):
+        np.testing.assert_array_equal(mask, want)
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), -1.0])
+def test_motion_masks_rejects_bad_theta(theta):
+    frames = np.zeros((3, 4, 4), dtype=np.uint8)
+    with pytest.raises(ValueError, match="theta"):
+        motion_masks(frames, theta)
+
+
+def test_motion_masks_needs_a_stack():
+    with pytest.raises(ValueError):
+        motion_masks(np.zeros((4, 4), dtype=np.uint8), 10.0)
