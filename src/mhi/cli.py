@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import logging
+import math
 import os
 import re
 import sys
@@ -31,7 +32,6 @@ from .classify import (
 from .diagnostics import detect_secondary_blob
 from .errors import (
     MhiError,
-    MissingFrameError,
     NoMotionError,
     NonFiniteLossError,
     SingleClassError,
@@ -45,7 +45,7 @@ from .imgio import (
 )
 from .moments import FEATURE_DIM, LabeledSample, feature_vector
 from .synth import generate, parse_specs
-from .temporal import build_template, normalize_mhi, require_theta
+from .temporal import build_template, normalize_mhi, require_theta, window_templates
 
 log = logging.getLogger("mhi")
 
@@ -72,6 +72,13 @@ def _positive(value: str) -> int:
     if number < 1:
         raise argparse.ArgumentTypeError("value must be >= 1")
     return number
+
+
+def _learning_rate(value: str) -> float:
+    rate = float(value)
+    if not 0 < rate < math.inf:
+        raise argparse.ArgumentTypeError(f"learning rate must be finite and > 0, got {value}")
+    return rate
 
 
 def _theta(value: str) -> float:
@@ -205,8 +212,7 @@ def cmd_train(args) -> int:
             standardizer=standardizer, mlp=mlp,
         )
 
-    with open(args.out, "wb") as fh:
-        fh.write(model.to_bytes())
+    model.save(args.out)
 
     report = "".join(
         (
@@ -227,6 +233,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = TrainedModel.load(args.model, FEATURE_DIM)
     samples = read_features_csv(args.features)
+    if not samples:
+        raise MhiError(f"{args.features}: no samples to evaluate, only the header")
     matrix, _ = evaluate(model, samples)
     _write_out(args.out, matrix.to_csv())
     return 0
@@ -238,6 +246,7 @@ _FRAME_RE = re.compile(r"(\d{6})\.pgm$")
 
 
 def _scan_frame_dir(directory: str) -> SequenceRecord:
+    # load_sequence reports the first gap between the lowest and highest index.
     indices = sorted(
         int(m.group(1))
         for name in os.listdir(directory)
@@ -245,9 +254,6 @@ def _scan_frame_dir(directory: str) -> SequenceRecord:
     )
     if not indices:
         raise MhiError(f"no NNNNNN.pgm frames in {directory}")
-    missing = sorted(set(range(indices[0], indices[-1] + 1)) - set(indices))
-    if missing:
-        raise MissingFrameError(missing[0], os.path.join(directory, f"{missing[0]:06d}.pgm"))
     return SequenceRecord(dir=directory, start=indices[0], end=indices[-1])
 
 
@@ -276,22 +282,15 @@ def predict_windows(
         starts.append(n - size)
 
     base = seq.record.start
-
-    def worker(offset: int) -> dict:
-        frames = seq.frames[offset : offset + size]
-        sub = FrameSequence(
-            frames=frames,
-            record=SequenceRecord(
-                dir=seq.record.dir, start=base + offset, end=base + offset + size - 1
-            ),
-        )
-        template = build_template(sub, theta=model.theta, tau=model.tau)
+    entries = []
+    templates = window_templates(seq, model.theta, model.tau, size, starts)
+    for offset, template in zip(starts, templates):
         try:
             label, score = model.predict(feature_vector(template))
         except NoMotionError:
             label, score = "none", 0.0
         blob = detect_secondary_blob(template.mei)
-        return {
+        entries.append({
             "start_frame": base + offset,
             "end_frame": base + offset + size - 1,
             "label": label,
@@ -300,9 +299,8 @@ def predict_windows(
                 "component_count": blob.component_count,
                 "warning": blob.warning,
             },
-        }
-
-    return [worker(offset) for offset in starts]
+        })
+    return entries
 
 
 def cmd_predict(args) -> int:
@@ -364,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier", choices=("knn", "mlp"), required=True)
     _add_pipeline_flags(p)
     p.add_argument("--k", type=_positive, default=5, help="KNN neighbor count")
-    p.add_argument("--lr", type=float, default=0.05, help="MLP learning rate")
+    p.add_argument("--lr", type=_learning_rate, default=0.05, help="MLP learning rate")
     p.add_argument("--epochs", type=_positive, default=300, help="MLP training epochs")
     p.add_argument("--batch", type=_positive, default=2, help="MLP mini-batch size")
     p.add_argument("--hidden", type=_hidden_sizes, default=(64, 32),

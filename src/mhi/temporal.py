@@ -6,6 +6,15 @@ unit per frame, floored at zero. Brighter pixels therefore mark more recent
 motion, and the decay gradient encodes its direction. The motion-energy image
 (MEI) is the binary union of every motion mask in the window: where motion
 happened, regardless of when.
+
+History is held as each pixel's last-active mask step, the timestamp MHI of
+Davis & Bradski. Folding ``mhi_step`` over a window's trailing ``steps``
+masks leaves ``tau - age`` at a pixel last active ``age`` steps before the
+window's final mask, and 0 at a pixel idle through the window. As
+``steps <= tau`` the age of an active pixel is at most ``tau - 1``, so the
+floor at zero never applies and the fold equals ``where(age < steps,
+tau - age, 0)``. One pass over the masks thus yields the MHI and MEI of every
+trailing window, whole clips and sliding windows alike.
 """
 
 from __future__ import annotations
@@ -18,6 +27,9 @@ import numpy as np
 from .errors import DimensionMismatchError, TooFewFramesError
 from .imgio import FrameSequence
 from .imgproc import frame_diff, gaussian_smooth, morph_open
+
+# Frames per motion_masks call; consecutive blocks share one frame.
+_BLOCK = 32
 
 
 @dataclass
@@ -83,6 +95,32 @@ def motion_masks(frames: np.ndarray, theta: float) -> np.ndarray:
     return morph_open(frame_diff(smoothed[:-1], smoothed[1:], theta))
 
 
+def window_templates(seq: FrameSequence, theta: float, tau: int, size: int, starts):
+    """Yield the template of each ``size``-frame window of ``seq`` at ``starts``.
+
+    ``starts`` ascend and every window lies inside ``seq``. Masks are computed
+    once, in blocks of ``_BLOCK`` frames that overlap by one frame, so their
+    memory does not grow with the sequence. Each template uses the window's
+    trailing ``min(size - 1, tau)`` mask steps, as ``build_template`` does.
+    """
+    steps = min(size - 1, tau)
+    masks = (mask for lo in range(0, len(seq) - 1, _BLOCK - 1)
+             for mask in motion_masks(seq.frames[lo : lo + _BLOCK], theta))
+    last = np.full(seq.frames.shape[1:], -size)  # never moved: age > steps
+    t = -1
+    for start in starts:
+        while t < start + size - 2:
+            t += 1
+            last[next(masks) > 0] = t
+        age = t - last
+        active = age < steps
+        yield TemporalTemplate(
+            mhi=MotionHistory(np.where(active, tau - age, 0.0), tau),
+            mei=active.astype(np.uint8),
+            frame_span=(seq.record.start + t + 1 - steps, seq.record.start + t + 1),
+        )
+
+
 def build_template(seq: FrameSequence, theta: float, tau: int) -> TemporalTemplate:
     """Run the full per-window pipeline: smooth, diff, open, accumulate.
 
@@ -91,21 +129,9 @@ def build_template(seq: FrameSequence, theta: float, tau: int) -> TemporalTempla
     The MEI is the pixelwise OR of those same masks, which makes its support
     exactly the set of pixels the MHI ever saw active.
     """
-    n = len(seq)
-    if n < 2:
-        raise TooFewFramesError(f"need >= 2 frames, got {n}")
-    masks = motion_masks(seq.frames, theta)
-    used = masks[-min(len(masks), tau):]
-
-    height, width = seq.frames.shape[1:]
-    history = MotionHistory.zeros(height, width, tau)
-    for mask in used:
-        history = mhi_step(history, mask)
-
-    first = seq.record.start + (n - 1 - len(used))
-    return TemporalTemplate(
-        mhi=history, mei=used.max(axis=0), frame_span=(first, seq.record.end)
-    )
+    if len(seq) < 2:
+        raise TooFewFramesError(f"need >= 2 frames, got {len(seq)}")
+    return next(window_templates(seq, theta, tau, len(seq), [0]))
 
 
 def normalize_mhi(mhi: MotionHistory) -> np.ndarray:

@@ -2,14 +2,19 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mhi.classify import TrainedModel
 from mhi.cli import FEATURE_HEADER, features_to_csv, main, read_features_csv
+from mhi.diagnostics import detect_secondary_blob
+from mhi.errors import NoMotionError
 from mhi.imgio import (
+    FrameSequence,
     SequenceRecord,
     frame_path,
     load_sequence,
@@ -243,6 +248,43 @@ def test_predict_trailing_window_clamped(workspace, tmp_path):
     assert spans == [(0, 7), (4, 11)]  # 5 would overrun; trailing start is 4
 
 
+@pytest.mark.parametrize("kind", ["knn", "mlp"])
+def test_predict_dense_splice_matches_library(workspace, tmp_path, kind):
+    # Frames 0-11 slide, 12-23 sway; the 16-frame window exceeds the model's
+    # tau of 12, so each template uses only its window's trailing masks.
+    video = tmp_path / "video"
+    video.mkdir()
+    for i in range(12):
+        shutil.copy(frame_path(workspace["clips"] / "slide_000", i), frame_path(video, i))
+        shutil.copy(frame_path(workspace["clips"] / "sway_000", i), frame_path(video, 12 + i))
+    out = tmp_path / "pred.json"
+    assert main([
+        "predict", "--model", str(workspace[kind]), "--frames", str(video),
+        "--window", "16", "--stride", "1", "--out", str(out),
+    ]) == 0
+    entries = json.loads(out.read_text())
+    assert [e["start_frame"] for e in entries] == list(range(9))
+
+    model = TrainedModel.load(workspace[kind])
+    frames = load_sequence(SequenceRecord(str(video), 0, 23)).frames
+    for entry in entries:
+        start, end = entry["start_frame"], entry["end_frame"]
+        assert end == start + 15
+        window = FrameSequence(frames[start : end + 1], SequenceRecord("w", start, end))
+        template = build_template(window, theta=model.theta, tau=model.tau)
+        try:
+            label, score = model.predict(feature_vector(template))
+        except NoMotionError:
+            label, score = "none", 0.0
+        blob = detect_secondary_blob(template.mei)
+        assert entry["label"] == label
+        assert entry["score"] == float(score)
+        assert entry["diagnostic"] == {
+            "component_count": blob.component_count, "warning": blob.warning,
+        }
+    assert {e["label"] for e in entries} >= {"slide", "sway"}
+
+
 def test_predict_static_video_none(workspace, tmp_path):
     static = tmp_path / "static"
     static.mkdir()
@@ -395,6 +437,41 @@ def test_malformed_model_exit_two(workspace, tmp_path, caplog, kind, corrupt):
     assert str(model) in caplog.text
     assert main(["predict", "--model", str(model),
                  "--frames", str(workspace["clips"] / "slide_000")]) == 2
+
+
+@pytest.mark.parametrize("lr", ["0", "-0.05", "nan", "inf", "-inf"])
+def test_bad_lr_is_usage_error(workspace, tmp_path, lr):
+    model = tmp_path / "m.json"
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--features", str(workspace["feats"]), "--classifier", "mlp",
+              "--epochs", "2", "--out", str(model), f"--lr={lr}"])
+    assert info.value.code == 1
+    assert not model.exists()
+
+
+def test_eval_header_only_csv_names_file(workspace, tmp_path, caplog):
+    header_only = tmp_path / "header.csv"
+    header_only.write_text(FEATURE_HEADER + "\n")
+    assert main(["eval", "--model", str(workspace["knn"]),
+                 "--features", str(header_only)]) == 2
+    assert str(header_only) in caplog.text
+    assert "no samples" in caplog.text
+
+
+@pytest.mark.parametrize("command", ["predict", "render"])
+def test_frame_gap_names_first_missing_frame(workspace, tmp_path, caplog, command):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    frame = np.zeros((16, 16), dtype=np.uint8)
+    for i in (3, 4, 6, 8):
+        write_pgm_file(frame_path(frames, i), frame)
+    argv = {
+        "predict": ["predict", "--model", str(workspace["knn"])],
+        "render": ["render", "--out", str(tmp_path / "r")],
+    }[command]
+    assert main(argv + ["--frames", str(frames)]) == 2
+    assert frame_path(frames, 5) in caplog.text
+    assert "000007.pgm" not in caplog.text
 
 
 def test_data_errors_exit_two(workspace, tmp_path):

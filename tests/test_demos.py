@@ -1,0 +1,20 @@
+"""Every demo script runs to completion against the source tree."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+DEMOS = sorted((REPO / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo, tmp_path):
+    # TMPDIR keeps the demos' scratch directories inside the test's tmp_path.
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), TMPDIR=str(tmp_path))
+    result = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr

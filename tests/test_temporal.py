@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -10,11 +10,13 @@ from mhi.errors import DimensionMismatchError, TooFewFramesError
 from mhi.imgio import FrameSequence, SequenceRecord
 from mhi.imgproc import frame_diff, gaussian_smooth, morph_open
 from mhi.temporal import (
+    _BLOCK,
     MotionHistory,
     build_template,
     mhi_step,
     motion_masks,
     normalize_mhi,
+    window_templates,
 )
 
 
@@ -193,3 +195,59 @@ def test_motion_masks_rejects_bad_theta(theta):
 def test_motion_masks_needs_a_stack():
     with pytest.raises(ValueError):
         motion_masks(np.zeros((4, 4), dtype=np.uint8), 10.0)
+
+
+def blocky_frames(rng, n, h, w):
+    # 3x3-pixel blocks, each redrawn with probability 0.2 per frame, so some
+    # motion survives the opening and pixels go idle for varying spans.
+    frames = np.empty((n, 3 * h, 3 * w), dtype=np.uint8)
+    frame = rng.integers(0, 256, (h, w))
+    for i in range(n):
+        frame = np.where(rng.random((h, w)) < 0.2, rng.integers(0, 256, (h, w)), frame)
+        frames[i] = np.kron(frame, np.ones((3, 3), dtype=np.int64))
+    return frames
+
+
+def window_oracle(frames, theta, tau, size, start, base):
+    # The mhi_step fold and mask union over the window's trailing masks.
+    steps = min(size - 1, tau)
+    masks = motion_masks(frames[start : start + size], theta)[-steps:]
+    end = base + start + size - 1
+    return fold(masks, tau).values, np.bitwise_or.reduce(masks), (end - steps, end)
+
+
+@st.composite
+def window_cases(draw):
+    n = draw(st.integers(2, 3 * _BLOCK))
+    size = draw(st.integers(2, n))
+    tau = draw(st.integers(1, 40))
+    stride = draw(st.integers(1, 5))
+    return n, size, tau, stride, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(window_cases())
+@example((20, 15, 4, 1, 1))               # size - 1 > tau
+@example((12, 6, 1, 1, 2))                # tau = 1
+@example((20, 8, 10, 5, 3))               # stride 5, trailing window clamped to 12
+@example((2 * _BLOCK + 15, 30, 12, 1, 4))  # windows straddle the block seams
+@example((3 * _BLOCK, 3 * _BLOCK, 300, 1, 5))
+def test_window_templates_match_fold_oracle(case):
+    n, size, tau, stride, seed = case
+    rng = np.random.Generator(np.random.PCG64(seed))
+    frames = blocky_frames(rng, n, 4, 5)
+    base = int(rng.integers(0, 100))
+    seq = FrameSequence(frames, SequenceRecord("clip", base, base + n - 1))
+    starts = list(range(0, n - size + 1, stride))
+    if starts[-1] != n - size:
+        starts.append(n - size)
+    templates = list(window_templates(seq, 10.0, tau, size, starts))
+    assert len(templates) == len(starts)
+    for start, got in zip(starts, templates):
+        mhi, mei, span = window_oracle(frames, 10.0, tau, size, start, base)
+        assert got.mhi.values.dtype == mhi.dtype == np.float64
+        assert got.mei.dtype == mei.dtype == np.uint8
+        np.testing.assert_array_equal(got.mhi.values, mhi)
+        np.testing.assert_array_equal(got.mei, mei)
+        assert got.mhi.tau == tau
+        assert got.frame_span == span
