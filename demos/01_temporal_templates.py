@@ -18,6 +18,7 @@ from mhi import (
     SynthSpec,
     build_template,
     normalize_mhi,
+    read_pgm_file,
     render_clip,
     write_pgm_file,
 )
@@ -62,7 +63,10 @@ values = np.asarray(template.mhi.values)
 print(f"\ndistinct MHI levels: {sorted(int(v) for v in np.unique(values))}")
 print(f"frames spanned by the window: {template.frame_span}")
 
-out = tempfile.mkdtemp(prefix="mhi_demo_")
-write_pgm_file(f"{out}/mei.pgm", (template.mei * 255).astype(np.uint8))
-write_pgm_file(f"{out}/mhi.pgm", normalize_mhi(template.mhi))
-print(f"\nwrote mei.pgm and mhi.pgm to {out}")
+# Save both as PGM and read them back; `mhi render` writes the same two files.
+with tempfile.TemporaryDirectory(prefix="mhi_demo_") as out:
+    for name, image in (("mei", (template.mei * 255).astype(np.uint8)),
+                        ("mhi", normalize_mhi(template.mhi))):
+        write_pgm_file(f"{out}/{name}.pgm", image)
+        assert np.array_equal(read_pgm_file(f"{out}/{name}.pgm"), image)
+print("\nmei.pgm and mhi.pgm read back unchanged")

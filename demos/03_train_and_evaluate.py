@@ -30,13 +30,13 @@ from mhi.synth import generate, specs_to_json
 
 THETA, TAU = 10.0, 30
 
-out_dir = tempfile.mkdtemp(prefix="mhi_demo_")
 specs = three_class_specs(frames=30, size=64, rect=12, count=20, seed=0)
 print(specs_to_json(specs))
 
 t0 = time.perf_counter()
-generate(specs, out_dir)
-samples = extract_samples(f"{out_dir}/manifest.jsonl", THETA, TAU)
+with tempfile.TemporaryDirectory(prefix="mhi_demo_") as out_dir:
+    generate(specs, out_dir)
+    samples = extract_samples(f"{out_dir}/manifest.jsonl", THETA, TAU)
 print(f"{len(samples)} feature vectors in {time.perf_counter() - t0:.2f}s")
 
 # Half the data trains, a quarter validates (the MLP picks its snapshot by

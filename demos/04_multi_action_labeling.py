@@ -16,39 +16,41 @@ from pathlib import Path
 
 from mhi import specs_to_json, three_class_specs
 from mhi.cli import main
+from mhi.imgio import frame_path
 
-root = Path(tempfile.mkdtemp(prefix="mhi_demo_"))
+with tempfile.TemporaryDirectory(prefix="mhi_demo_") as tmp:
+    root = Path(tmp)
 
-# One spec file drives both the dataset and the spliced clips.
-spec = root / "spec.json"
-spec.write_text(specs_to_json(three_class_specs(frames=30, size=64, rect=12, count=20, seed=0)))
+    # One spec file drives both the dataset and the spliced clips.
+    spec = root / "spec.json"
+    spec.write_text(specs_to_json(three_class_specs(frames=30, size=64, rect=12, count=20, seed=0)))
 
-steps = [
-    ["synth", "--spec", str(spec), "--out", str(root / "clips")],
-    ["extract", "--manifest", str(root / "clips" / "manifest.jsonl"),
-     "--theta", "10", "--tau", "30", "--out", str(root / "features.csv")],
-    ["train", "--features", str(root / "features.csv"), "--classifier", "knn",
-     "--theta", "10", "--tau", "30", "--out", str(root / "model.json")],
-]
-for argv in steps:
+    steps = [
+        ["synth", "--spec", str(spec), "--out", str(root / "clips")],
+        ["extract", "--manifest", str(root / "clips" / "manifest.jsonl"),
+         "--theta", "10", "--tau", "30", "--out", str(root / "features.csv")],
+        ["train", "--features", str(root / "features.csv"), "--classifier", "knn",
+         "--theta", "10", "--tau", "30", "--out", str(root / "model.json")],
+    ]
+    for argv in steps:
+        print("$ mhi " + " ".join(argv), flush=True)
+        assert main(argv) == 0
+
+    # Splice: frames 0-29 slide, frames 30-59 sway.
+    video = root / "video"
+    video.mkdir()
+    for i in range(30):
+        shutil.copy(frame_path(root / "clips" / "slide_000", i), frame_path(video, i))
+        shutil.copy(frame_path(root / "clips" / "sway_000", i), frame_path(video, i + 30))
+
+    argv = ["predict", "--model", str(root / "model.json"), "--frames", str(video),
+            "--window", "30", "--stride", "10", "--out", str(root / "timeline.json")]
     print("$ mhi " + " ".join(argv), flush=True)
     assert main(argv) == 0
 
-# Splice: frames 0-29 slide, frames 30-59 sway.
-video = root / "video"
-video.mkdir()
-for i in range(30):
-    shutil.copy(root / "clips" / "slide_000" / f"{i:06d}.pgm", video / f"{i:06d}.pgm")
-    shutil.copy(root / "clips" / "sway_000" / f"{i:06d}.pgm", video / f"{i + 30:06d}.pgm")
-
-argv = ["predict", "--model", str(root / "model.json"), "--frames", str(video),
-        "--window", "30", "--stride", "10", "--out", str(root / "timeline.json")]
-print("$ mhi " + " ".join(argv), flush=True)
-assert main(argv) == 0
-
-print("\nframes     label   score  motion blobs")
-for entry in json.loads((root / "timeline.json").read_text()):
-    span = f"{entry['start_frame']:3d}-{entry['end_frame']:3d}"
-    blobs = entry["diagnostic"]["component_count"]
-    note = "  <- possible second actor" if entry["diagnostic"]["warning"] else ""
-    print(f"{span:>9}  {entry['label']:>6}  {entry['score']:.2f}  {blobs:6d}{note}")
+    print("\nframes     label   score  motion blobs")
+    for entry in json.loads((root / "timeline.json").read_text()):
+        span = f"{entry['start_frame']:3d}-{entry['end_frame']:3d}"
+        blobs = entry["diagnostic"]["component_count"]
+        note = "  <- possible second actor" if entry["diagnostic"]["warning"] else ""
+        print(f"{span:>9}  {entry['label']:>6}  {entry['score']:.2f}  {blobs:6d}{note}")

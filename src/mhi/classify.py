@@ -467,16 +467,22 @@ class TrainedModel:
         mean = _array(doc, "standardizer.mean", (feature_dim,))
         width = len(mean)
         standardizer = Standardizer(mean=mean, std=_array(doc, "standardizer.std", (width,)))
+        labels = list(_field(doc, "labels"))
+        if len(set(labels)) != len(labels):
+            raise ModelFormatError(f"labels {labels} are not unique")
         knn = mlp = None
         if kind == "knn":
-            labels = list(_field(doc, "knn.labels"))
+            stored = list(_field(doc, "knn.labels"))
+            if labels != sorted(set(stored)):
+                raise ModelFormatError(
+                    f"labels {labels} differ from the sorted knn.labels {sorted(set(stored))}"
+                )
             knn = KnnModel(
                 k=int(_field(doc, "knn.k")),
-                vectors=_array(doc, "knn.vectors", (len(labels), width)),
-                labels=labels,
+                vectors=_array(doc, "knn.vectors", (len(stored), width)),
+                labels=stored,
             )
         else:
-            labels = list(_field(doc, "labels"))
             sizes = [int(s) for s in _field(doc, "mlp.sizes")]
             if len(sizes) < 2 or sizes[0] != width or sizes[-1] != len(labels):
                 raise ModelFormatError(

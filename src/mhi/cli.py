@@ -13,7 +13,6 @@ import io
 import logging
 import math
 import os
-import re
 import sys
 
 import numpy as np
@@ -35,12 +34,13 @@ from .errors import (
     NoMotionError,
     NonFiniteLossError,
     SingleClassError,
+    UnknownLabelError,
 )
 from .imgio import (
     FrameSequence,
-    SequenceRecord,
     load_manifest_file,
     load_sequence,
+    scan_frame_dir,
     write_pgm_file,
 )
 from .moments import FEATURE_DIM, LabeledSample, feature_vector
@@ -178,10 +178,12 @@ def cmd_train(args) -> int:
     labeled = [s for s in samples if s.label]
     if len(labeled) < len(samples):
         log.warning("ignoring %d unlabeled sample(s)", len(samples) - len(labeled))
-    if len({s.label for s in labeled}) < 2:
-        raise SingleClassError("training needs samples from >= 2 classes")
-
-    train, val, test = split_dataset(labeled, SplitSpec(seed=args.seed))
+    try:
+        if len({s.label for s in labeled}) < 2:
+            raise SingleClassError("training needs samples from >= 2 classes")
+        train, val, test = split_dataset(labeled, SplitSpec(seed=args.seed))
+    except MhiError as exc:
+        raise MhiError(f"{args.features or args.manifest}: {exc}") from exc
     standardizer = Standardizer.fit(train)
 
     def standardized(part):
@@ -235,27 +237,15 @@ def cmd_eval(args) -> int:
     samples = read_features_csv(args.features)
     if not samples:
         raise MhiError(f"{args.features}: no samples to evaluate, only the header")
-    matrix, _ = evaluate(model, samples)
+    try:
+        matrix, _ = evaluate(model, samples)
+    except UnknownLabelError as exc:
+        raise MhiError(f"{args.features}: {exc}") from exc
     _write_out(args.out, matrix.to_csv())
     return 0
 
 
 # --- prediction / rendering ---
-
-_FRAME_RE = re.compile(r"(\d{6})\.pgm$")
-
-
-def _scan_frame_dir(directory: str) -> SequenceRecord:
-    # load_sequence reports the first gap between the lowest and highest index.
-    indices = sorted(
-        int(m.group(1))
-        for name in os.listdir(directory)
-        if (m := _FRAME_RE.fullmatch(name))
-    )
-    if not indices:
-        raise MhiError(f"no NNNNNN.pgm frames in {directory}")
-    return SequenceRecord(dir=directory, start=indices[0], end=indices[-1])
-
 
 def predict_windows(
     model: TrainedModel,
@@ -305,16 +295,14 @@ def predict_windows(
 
 def cmd_predict(args) -> int:
     model = TrainedModel.load(args.model, FEATURE_DIM)
-    record = _scan_frame_dir(args.frames)
-    seq = load_sequence(record)
+    seq = load_sequence(scan_frame_dir(args.frames))
     entries = predict_windows(model, seq, args.window, args.stride)
     _write_out(args.out, serialize.dumps(entries) + "\n")
     return 0
 
 
 def cmd_render(args) -> int:
-    record = _scan_frame_dir(args.frames)
-    seq = load_sequence(record)
+    seq = load_sequence(scan_frame_dir(args.frames))
     template = build_template(seq, theta=args.theta, tau=args.tau)
     os.makedirs(args.out, exist_ok=True)
     write_pgm_file(os.path.join(args.out, "mei.pgm"), template.mei * np.uint8(255))

@@ -34,8 +34,6 @@ def detect_secondary_blob(mask: np.ndarray) -> BlobDiagnostic:
     """
     mask = np.asarray(mask)
     labeled, count = ndimage.label(mask > 0, structure=_STRUCTURE)
-    if count == 0:
-        return BlobDiagnostic(component_count=0, warning=False)
-    areas = ndimage.sum_labels(np.ones_like(labeled), labeled, index=range(1, count + 1))
+    areas = np.bincount(labeled.ravel())[1:]
     substantial = int(np.sum(areas > AREA_FRACTION * mask.size))
     return BlobDiagnostic(component_count=int(count), warning=substantial >= 2)

@@ -6,13 +6,14 @@ maxval <= 255 is supported, which keeps every raster bit-exact on disk.
 
 Manifests are UTF-8 JSON Lines: one object per line with keys ``dir`` (str),
 ``start`` (int), ``end`` (int) and optional ``label`` (str). Frame files are
-named ``NNNNNN.pgm`` (zero-padded index) inside ``dir``.
+named ``NNNNNN.pgm`` (zero-padded index, see ``frame_path``) inside ``dir``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,12 +23,15 @@ from .errors import (
     FrameRangeError,
     MalformedHeaderError,
     ManifestParseError,
+    MhiError,
     MissingFrameError,
     TruncatedDataError,
     UnsupportedMaxvalError,
 )
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+# In a bytes pattern ``\s`` is exactly ``_WHITESPACE``.
+_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*)*([^\s#]*)")
 
 
 @dataclass(frozen=True)
@@ -71,22 +75,10 @@ def require_frame(frame: np.ndarray, stack: bool = False) -> np.ndarray:
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     # Skip whitespace and '#' comments (which run to end of line).
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c in (b"#",):
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    if pos >= n:
+    match = _TOKEN.match(data, pos)
+    if not match[1]:
         raise MalformedHeaderError("unexpected end of header")
-    start = pos
-    while pos < n and data[pos : pos + 1] not in _WHITESPACE and data[pos : pos + 1] != b"#":
-        pos += 1
-    return data[start:pos], pos
+    return match[1], match.end()
 
 
 def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
@@ -140,8 +132,13 @@ def write_pgm(frame: np.ndarray) -> bytes:
 
 
 def read_pgm_file(path: str | os.PathLike) -> np.ndarray:
+    """Decode the PGM file at ``path``; decode errors are prefixed with it."""
     with open(path, "rb") as fh:
-        return read_pgm(fh.read())
+        data = fh.read()
+    try:
+        return read_pgm(data)
+    except MhiError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def write_pgm_file(path: str | os.PathLike, frame: np.ndarray) -> None:
@@ -200,9 +197,35 @@ def load_manifest_file(path: str | os.PathLike) -> list[SequenceRecord]:
         return load_manifest(fh.read())
 
 
+def write_manifest_file(path: str | os.PathLike, records: list[SequenceRecord]) -> None:
+    """Write ``records`` as manifest lines keyed ``dir, label, start, end``;
+    ``load_manifest_file`` reads them back."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for r in records:
+            fields = {"dir": r.dir, "label": r.label, "start": r.start, "end": r.end}
+            fh.write(json.dumps(fields, separators=(", ", ": ")) + "\n")
+
+
 def frame_path(directory: str | os.PathLike, index: int) -> str:
-    """Path of frame ``index`` inside ``directory`` (zero-padded 6 digits)."""
+    """Path of frame ``index`` inside ``directory`` (zero-padded to 6 digits)."""
     return os.path.join(directory, f"{index:06d}.pgm")
+
+
+def scan_frame_dir(directory: str) -> SequenceRecord:
+    """The record from the lowest to the highest frame index in ``directory``.
+
+    A file counts only under the name ``frame_path`` gives its index, so
+    ``1000000.pgm`` counts and ``0000001.pgm`` does not. ``load_sequence``
+    reports the first gap.
+    """
+    indices = sorted(
+        int(name[:-4])
+        for name in os.listdir(directory)
+        if name[:-4].isdecimal() and frame_path("", int(name[:-4])) == name
+    )
+    if not indices:
+        raise MhiError(f"no NNNNNN.pgm frames in {directory}")
+    return SequenceRecord(dir=directory, start=indices[0], end=indices[-1])
 
 
 def load_sequence(record: SequenceRecord, root: str | os.PathLike | None = None) -> FrameSequence:
@@ -218,9 +241,10 @@ def load_sequence(record: SequenceRecord, root: str | os.PathLike | None = None)
     frames = []
     for index in range(record.start, record.end + 1):
         path = frame_path(directory, index)
-        if not os.path.isfile(path):
-            raise MissingFrameError(index, path)
-        frame = read_pgm_file(path)
+        try:
+            frame = read_pgm_file(path)
+        except FileNotFoundError:
+            raise MissingFrameError(index, path) from None
         if frames and frame.shape != frames[0].shape:
             raise DimensionMismatchError(
                 f"frame {index} is {frame.shape[1]}x{frame.shape[0]}, "

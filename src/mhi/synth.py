@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import SynthSpecError
-from .imgio import SequenceRecord, frame_path, write_pgm_file
+from .imgio import SequenceRecord, frame_path, write_manifest_file, write_pgm_file
 
 PROGRAMS = ("translate", "oscillate", "expand_contract")
 
@@ -214,13 +214,5 @@ def generate(specs: list[SynthSpec], out_dir: str | os.PathLike) -> list[Sequenc
             records.append(
                 SequenceRecord(dir=dirname, start=0, end=spec.frames - 1, label=spec.name)
             )
-    manifest_lines = [
-        json.dumps(
-            {"dir": r.dir, "label": r.label, "start": r.start, "end": r.end},
-            separators=(", ", ": "),
-        )
-        for r in records
-    ]
-    with open(os.path.join(out_dir, "manifest.jsonl"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(manifest_lines) + "\n")
+    write_manifest_file(os.path.join(out_dir, "manifest.jsonl"), records)
     return records

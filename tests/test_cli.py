@@ -424,9 +424,11 @@ def _missing_layer(doc):
     ("mlp", lambda doc: doc.update(labels=["a", "b"])),
     ("knn", lambda doc: doc.update(theta=float("nan"))),
     ("mlp", lambda doc: doc.update(tau=0)),
+    ("knn", lambda doc: doc.update(labels=["a", "b"])),
+    ("mlp", lambda doc: doc.update(labels=["pulse", "pulse", "sway"])),
 ], ids=["no-theta", "no-k", "no-std", "knn-width", "knn-mean-width", "mlp-mean-width",
         "mlp-weight-shape", "mlp-bias-shape", "mlp-missing-layer", "mlp-label-count",
-        "nan-theta", "zero-tau"])
+        "nan-theta", "zero-tau", "knn-labels", "mlp-duplicate-labels"])
 def test_malformed_model_exit_two(workspace, tmp_path, caplog, kind, corrupt):
     doc = json.loads(workspace[kind].read_text())
     corrupt(doc)
@@ -472,6 +474,88 @@ def test_frame_gap_names_first_missing_frame(workspace, tmp_path, caplog, comman
     assert main(argv + ["--frames", str(frames)]) == 2
     assert frame_path(frames, 5) in caplog.text
     assert "000007.pgm" not in caplog.text
+
+
+def _p6_frames(tmp_path):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for i in range(3):
+        write_pgm_file(frame_path(frames, i), np.zeros((8, 8), dtype=np.uint8))
+    bad = frame_path(frames, 1)
+    with open(bad, "r+b") as fh:
+        fh.write(b"P6")
+    return frames, bad
+
+
+def _bad_predict_frame(workspace, tmp_path):
+    frames, bad = _p6_frames(tmp_path)
+    return ["predict", "--model", str(workspace["knn"]), "--frames", str(frames)], bad
+
+
+def _bad_render_frame(workspace, tmp_path):
+    frames, bad = _p6_frames(tmp_path)
+    return ["render", "--frames", str(frames), "--out", str(tmp_path / "r")], bad
+
+
+def _truncated_extract_frame(workspace, tmp_path):
+    clip = tmp_path / "clip"
+    shutil.copytree(workspace["clips"] / "slide_000", clip)
+    bad = frame_path(clip, 4)
+    with open(bad, "r+b") as fh:
+        fh.truncate(100)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text('{"dir": "clip", "label": "slide", "start": 0, "end": 11}\n')
+    return ["extract", "--manifest", str(manifest), "--out", str(tmp_path / "f.csv")], bad
+
+
+def _feature_rows(workspace, tmp_path, rows):
+    lines = workspace["feats"].read_text().splitlines()
+    csv_path = tmp_path / "feats.csv"
+    csv_path.write_text("\n".join([lines[0], *rows(lines[1:])]) + "\n")
+    return str(csv_path)
+
+
+def _unknown_eval_label(workspace, tmp_path):
+    path = _feature_rows(workspace, tmp_path, lambda rows: ["zzz" + rows[0][5:], *rows[1:]])
+    return ["eval", "--model", str(workspace["knn"]), "--features", path], path
+
+
+def _train_argv(path, tmp_path):
+    return ["train", "--features", path, "--classifier", "knn",
+            "--out", str(tmp_path / "m.json")]
+
+
+def _one_class_train(workspace, tmp_path):
+    path = _feature_rows(workspace, tmp_path, lambda rows: rows[:2])
+    return _train_argv(path, tmp_path), path
+
+
+def _unsplittable_train(workspace, tmp_path):
+    path = _feature_rows(workspace, tmp_path, lambda rows: [rows[0], rows[-1]])
+    return _train_argv(path, tmp_path), path
+
+
+@pytest.mark.parametrize("case", [
+    _bad_predict_frame, _bad_render_frame, _truncated_extract_frame,
+    _unknown_eval_label, _one_class_train, _unsplittable_train,
+], ids=lambda case: case.__name__.strip("_"))
+def test_data_error_names_file(workspace, tmp_path, caplog, case):
+    argv, path = case(workspace, tmp_path)
+    assert main(argv) == 2
+    assert str(path) in caplog.text
+
+
+def test_predict_covers_frames_past_six_digits(workspace, tmp_path):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for i in range(999996, 1000004):
+        write_pgm_file(frame_path(frames, i), np.zeros((16, 16), dtype=np.uint8))
+    out = tmp_path / "p.json"
+    assert main(["predict", "--model", str(workspace["knn"]), "--frames", str(frames),
+                 "--window", "3", "--stride", "1", "--out", str(out)]) == 0
+    entries = json.loads(out.read_text())
+    assert [e["start_frame"] for e in entries] == list(range(999996, 1000002))
+    assert entries[-1]["end_frame"] == 1000003
 
 
 def test_data_errors_exit_two(workspace, tmp_path):

@@ -18,3 +18,4 @@ def test_demo_runs(demo, tmp_path):
     result = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+    assert not list(tmp_path.glob("mhi_demo_*"))

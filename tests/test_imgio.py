@@ -1,24 +1,36 @@
 """PGM codec, manifest parsing, and sequence loading."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from mhi.errors import (
     DimensionMismatchError,
     FrameRangeError,
     MalformedHeaderError,
     ManifestParseError,
+    MhiError,
     MissingFrameError,
     TruncatedDataError,
     UnsupportedMaxvalError,
 )
 from mhi.imgio import (
+    _WHITESPACE,
     SequenceRecord,
+    _next_token,
     frame_path,
     load_manifest,
+    load_manifest_file,
     load_sequence,
     read_pgm,
     read_pgm_file,
+    scan_frame_dir,
+    write_manifest_file,
     write_pgm,
     write_pgm_file,
 )
@@ -38,15 +50,70 @@ def test_write_pgm_rejects_bad_input():
         write_pgm(np.zeros(4, dtype=np.uint8))
 
 
-def test_read_pgm_round_trip_random():
-    rng = np.random.Generator(np.random.PCG64(11))
-    for _ in range(50):
-        h = int(rng.integers(1, 20))
-        w = int(rng.integers(1, 20))
-        frame = rng.integers(0, 256, size=(h, w), dtype=np.uint8)
-        again = read_pgm(write_pgm(frame))
-        assert again.dtype == np.uint8
-        np.testing.assert_array_equal(again, frame)
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.uint8, array_shapes(min_dims=2, max_dims=2, max_side=19)))
+@example(np.arange(7, dtype=np.uint8).reshape(1, 7))
+@example(np.arange(7, dtype=np.uint8).reshape(7, 1))
+@example(np.full((1, 1), 10, dtype=np.uint8))
+def test_read_pgm_round_trip_random(frame):
+    again = read_pgm(write_pgm(frame))
+    assert again.dtype == np.uint8
+    np.testing.assert_array_equal(again, frame)
+
+
+def _byte_loop_next_token(data, pos):
+    # The byte-by-byte scanner the compiled token pattern replaced; kept here
+    # as the oracle for it.
+    n = len(data)
+    while pos < n:
+        c = data[pos : pos + 1]
+        if c in (b"#",):
+            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+        elif c in _WHITESPACE:
+            pos += 1
+        else:
+            break
+    if pos >= n:
+        raise MalformedHeaderError("unexpected end of header")
+    start = pos
+    while pos < n and data[pos : pos + 1] not in _WHITESPACE and data[pos : pos + 1] != b"#":
+        pos += 1
+    return data[start:pos], pos
+
+
+def _tokens(scan, data):
+    # Every token up to the end of the header, then the error that ends it.
+    out, pos = [], 0
+    while True:
+        try:
+            token, pos = scan(data, pos)
+        except MalformedHeaderError as exc:
+            return out, type(exc), str(exc)
+        out.append((token, pos))
+
+
+_HEADER_PIECES = st.one_of(
+    st.lists(st.sampled_from([bytes([b]) for b in _WHITESPACE]), min_size=1, max_size=4)
+    .map(b"".join),
+    st.builds(
+        lambda body, end: b"#" + body + end,
+        st.binary(max_size=6).map(lambda b: b.replace(b"\n", b"").replace(b"\r", b"")),
+        st.sampled_from([b"\n", b"\r", b""]),
+    ),
+    st.from_regex(rb"\A[0-9]{1,4}\Z"),
+    st.sampled_from([b"P5", b"P6", b"-2", b"x", b"1e3", b"\xff\x00", b"255"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_HEADER_PIECES, max_size=10).map(b"".join))
+@example(b"P5 # comment\n# full line\n 3\t2 # widthxheight\n255\n")
+@example(b"P5\x0b2\x0c1\r#c\r255 #at eof")
+def test_header_tokens_match_byte_loop(header):
+    for cut in range(len(header) + 1):
+        data = header[:cut]
+        assert _tokens(_next_token, data) == _tokens(_byte_loop_next_token, data)
 
 
 def test_read_pgm_whitespace_valued_pixels():
@@ -113,6 +180,30 @@ def test_pgm_file_round_trip(tmp_path):
 def test_frame_path_zero_padded():
     assert frame_path("clips", 7).endswith("000007.pgm")
     assert frame_path("clips", 123456).endswith("123456.pgm")
+    assert frame_path("clips", 1234567).endswith("1234567.pgm")
+
+
+def test_read_pgm_file_error_names_file(tmp_path):
+    path = tmp_path / "f.pgm"
+    path.write_bytes(b"P6\n2 1\n255\n\x01\x02")
+    with pytest.raises(MalformedHeaderError, match="bad magic") as info:
+        read_pgm_file(path)
+    assert str(path) in str(info.value)
+
+
+def test_scan_frame_dir_counts_only_frame_path_names(tmp_path):
+    for name in ("999999.pgm", "1000000.pgm", "0000001.pgm", "000002.pgm.bak",
+                 "12345.pgm", "abcdef.pgm", "٠٠٠٠٠٣.pgm", "notes.txt"):
+        (tmp_path / name).write_bytes(b"")
+    record = scan_frame_dir(str(tmp_path))
+    assert (record.start, record.end) == (999999, 1000000)
+    assert record.dir == str(tmp_path)
+
+
+def test_scan_frame_dir_without_frames(tmp_path):
+    (tmp_path / "12345.pgm").write_bytes(b"")
+    with pytest.raises(MhiError, match="no NNNNNN.pgm frames"):
+        scan_frame_dir(str(tmp_path))
 
 
 # --- manifests ---
@@ -159,6 +250,36 @@ def test_load_manifest_error_carries_line_number():
     assert "line 2" in str(info.value)
 
 
+_MANIFEST_TEXT = st.text(min_size=1) | st.sampled_from(
+    ['a "quoted" dir', "com,ma", "naïve/clip", "行動", "tab\tand\nnewline", "\u2028"]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.builds(
+        lambda d, label, start, extra: SequenceRecord(d, start, start + extra, label),
+        _MANIFEST_TEXT, st.none() | _MANIFEST_TEXT,
+        st.integers(0, 10**7), st.integers(0, 10**7),
+    ),
+    max_size=5,
+))
+def test_manifest_file_round_trip(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "manifest.jsonl")
+        write_manifest_file(path, records)
+        assert load_manifest_file(path) == records
+
+
+def test_write_manifest_file_bytes(tmp_path):
+    path = tmp_path / "manifest.jsonl"
+    write_manifest_file(path, [SequenceRecord("a", 0, 9, "walk"), SequenceRecord("b", 5, 5)])
+    assert path.read_bytes() == (
+        b'{"dir": "a", "label": "walk", "start": 0, "end": 9}\n'
+        b'{"dir": "b", "label": null, "start": 5, "end": 5}\n'
+    )
+
+
 def test_load_manifest_reversed_range():
     with pytest.raises(FrameRangeError) as info:
         load_manifest('{"dir": "a", "start": 4, "end": 3}')
@@ -199,3 +320,15 @@ def test_load_sequence_dimension_mismatch(tmp_path):
     with pytest.raises(DimensionMismatchError) as info:
         load_sequence(SequenceRecord(dir="clip", start=0, end=2), root=tmp_path)
     assert info.value.index == 2
+
+
+def test_load_sequence_frame_entry_not_a_file(tmp_path):
+    # Only an absent frame is a MissingFrameError; any other failed open
+    # surfaces as an OSError that names the path.
+    _write_frames(tmp_path / "clip", 0, 3)
+    (tmp_path / "clip" / "000001.pgm").unlink()
+    (tmp_path / "clip" / "000001.pgm").mkdir()
+    with pytest.raises(OSError) as info:
+        load_sequence(SequenceRecord(dir="clip", start=0, end=2), root=tmp_path)
+    assert not isinstance(info.value, MhiError)
+    assert "000001.pgm" in str(info.value)
