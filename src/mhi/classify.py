@@ -517,7 +517,7 @@ class TrainedModel:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 return cls.from_document(json.load(fh), feature_dim)
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, RecursionError) as exc:
                 raise ModelFormatError(f"{path}: {exc}") from exc
 
 

@@ -34,6 +34,7 @@ from .errors import (
     NoMotionError,
     NonFiniteLossError,
     SingleClassError,
+    SynthSpecError,
     UnknownLabelError,
 )
 from .imgio import (
@@ -312,7 +313,11 @@ def cmd_render(args) -> int:
 
 def cmd_synth(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
-        specs = parse_specs(fh.read())
+        text = fh.read()
+    try:
+        specs = parse_specs(text)
+    except SynthSpecError as exc:
+        raise SynthSpecError(f"{args.spec}: {exc}") from exc
     records = generate(specs, args.out)
     log.info("wrote %d sequence(s) under %s", len(records), args.out)
     return 0

@@ -32,6 +32,9 @@ from .errors import (
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 # In a bytes pattern ``\s`` is exactly ``_WHITESPACE``.
 _TOKEN = re.compile(rb"(?:\s|#[^\n\r]*)*([^\s#]*)")
+# ``str.splitlines`` also breaks at U+0085, U+2028 and U+2029, which JSON
+# allows raw inside strings.
+_LINE_BREAK = re.compile(r"\r\n|[\r\n]")
 
 
 @dataclass(frozen=True)
@@ -157,13 +160,15 @@ def load_manifest(text: str) -> list[SequenceRecord]:
     ``FrameRangeError`` when ``end < start``.
     """
     records = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(_LINE_BREAK.split(text), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ManifestParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ManifestParseError(line_no, f"invalid JSON: {exc}") from exc
         if not isinstance(obj, dict):
             raise ManifestParseError(line_no, "record is not a JSON object")
         unknown = set(obj) - _MANIFEST_KEYS

@@ -79,6 +79,8 @@ def parse_specs(text: str) -> list[SynthSpec]:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SynthSpecError(f"invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise SynthSpecError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, list) or not data:
         raise SynthSpecError("spec file must be a nonempty JSON array")
     specs = []

@@ -545,6 +545,35 @@ def test_data_error_names_file(workspace, tmp_path, caplog, case):
     assert str(path) in caplog.text
 
 
+def _deep_json(tmp_path, name):
+    path = tmp_path / name
+    path.write_text("[" * 200_000 + "\n")
+    return path
+
+
+def _deep_manifest(workspace, tmp_path):
+    path = _deep_json(tmp_path, "deep.jsonl")
+    return ["extract", "--manifest", str(path), "--out", str(tmp_path / "f.csv")], "line 1"
+
+
+def _deep_model(workspace, tmp_path):
+    path = _deep_json(tmp_path, "deep.json")
+    return ["eval", "--model", str(path), "--features", str(workspace["feats"])], path
+
+
+def _deep_spec(workspace, tmp_path):
+    path = _deep_json(tmp_path, "deep.json")
+    return ["synth", "--spec", str(path), "--out", str(tmp_path / "o")], path
+
+
+@pytest.mark.parametrize("case", [_deep_manifest, _deep_model, _deep_spec],
+                         ids=lambda case: case.__name__.strip("_"))
+def test_deeply_nested_json_exit_two(workspace, tmp_path, caplog, case):
+    argv, named = case(workspace, tmp_path)
+    assert main(argv) == 2
+    assert str(named) in caplog.text
+
+
 def test_predict_covers_frames_past_six_digits(workspace, tmp_path):
     frames = tmp_path / "frames"
     frames.mkdir()

@@ -1,5 +1,6 @@
 """PGM codec, manifest parsing, and sequence loading."""
 
+import json
 import os
 import tempfile
 
@@ -284,6 +285,78 @@ def test_load_manifest_reversed_range():
     with pytest.raises(FrameRangeError) as info:
         load_manifest('{"dir": "a", "start": 4, "end": 3}')
     assert info.value.line_no == 1
+
+
+@pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])
+def test_load_manifest_raw_unicode_line_separators(char):
+    text = (
+        f'{{"dir": "a{char}b", "label": "x{char}y", "start": 0, "end": 1}}\n'
+        '{"dir": "c", "start": 2, "end": 3}\n'
+    )
+    assert load_manifest(text) == [
+        SequenceRecord(f"a{char}b", 0, 1, f"x{char}y"),
+        SequenceRecord("c", 2, 3),
+    ]
+
+
+_RECORD = {"dir": "clip", "label": "walk", "start": 0, "end": 9}
+
+
+def _record_with(key, value):
+    return json.dumps({**_RECORD, key: value})
+
+
+_GOOD_OR_BLANK_LINE = st.sampled_from(["", "  ", "\t"]) | st.builds(
+    lambda d, label, start, extra: json.dumps(
+        {"dir": d, "label": label, "start": start, "end": start + extra}
+    ),
+    st.text(min_size=1), st.none() | st.text(min_size=1),
+    st.integers(0, 10**7), st.integers(0, 10**7),
+)
+
+_BAD_LINE = st.one_of(
+    # not JSON, or JSON that is not an object
+    st.text(st.characters(exclude_characters="\r\n{")).filter(str.strip),
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+        st.lists(st.integers(), max_size=3),
+    ).map(json.dumps),
+    # an unknown key, or a required key missing
+    st.text().filter(lambda key: key not in _RECORD).map(lambda key: _record_with(key, 1)),
+    st.sampled_from(["dir", "start", "end"]).map(
+        lambda gone: json.dumps({k: v for k, v in _RECORD.items() if k != gone})
+    ),
+    # a bool, float or string start/end, a negative start, end < start
+    st.builds(
+        _record_with, st.sampled_from(["start", "end"]),
+        st.booleans() | st.floats() | st.text(),
+    ),
+    st.integers(max_value=-1).map(lambda start: _record_with("start", start)),
+    st.builds(
+        lambda end, gap: json.dumps({**_RECORD, "start": end + gap, "end": end}),
+        st.integers(0, 10**9), st.integers(1, 10**9),
+    ),
+    # an empty or non-string dir or label
+    st.builds(_record_with, st.sampled_from(["dir", "label"]), st.sampled_from(["", 0, []])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    before=st.lists(_GOOD_OR_BLANK_LINE, max_size=4),
+    bad=_BAD_LINE,
+    after=st.lists(_GOOD_OR_BLANK_LINE, max_size=4),
+    ending=st.sampled_from(["\n", "\r\n", "\r"]),
+)
+@example(before=["", ""], bad="[" * 100_000, after=[], ending="\n")
+# An integer too long for ``int()`` makes ``json.loads`` raise a plain ValueError.
+@example(before=[], bad='{"dir": "a", "start": 0, "end": 1' + "0" * 5000 + "}", after=[],
+         ending="\r")
+def test_load_manifest_names_bad_line(before, bad, after, ending):
+    text = ending.join([*before, bad, *after]) + ending
+    with pytest.raises((ManifestParseError, FrameRangeError)) as info:
+        load_manifest(text)
+    assert info.value.line_no == len(before) + 1
 
 
 # --- sequence loading ---
