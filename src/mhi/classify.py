@@ -3,7 +3,9 @@
 Both classifiers are implemented from scratch on numpy. Every operation that
 consumes randomness (splitting, weight init, batch shuffling) draws from an
 explicitly seeded PCG64 generator, never the process-global RNG, so a fixed
-seed reproduces models bit-for-bit on any platform.
+seed reproduces models bit for bit on one CPU and BLAS kernel. Across kernels
+(another OpenBLAS core type, or numpy's SIMD dispatch at another level) the
+float results, and so the model bytes, can differ in the last bits.
 
 Trained models persist as a single JSON document (see ``TrainedModel``) with
 floats written as 17-significant-digit decimals, which round-trip doubles

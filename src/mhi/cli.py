@@ -28,7 +28,7 @@ from .classify import (
     split_dataset,
     train_mlp,
 )
-from .diagnostics import detect_secondary_blob
+from .diagnostics import detect_secondary_blobs
 from .errors import (
     MhiError,
     NoMotionError,
@@ -44,7 +44,7 @@ from .imgio import (
     scan_frame_dir,
     write_pgm_file,
 )
-from .moments import FEATURE_DIM, LabeledSample, feature_vector
+from .moments import FEATURE_DIM, LabeledSample, feature_vector, feature_vectors
 from .synth import generate, parse_specs
 from .temporal import build_template, normalize_mhi, require_theta, window_templates
 
@@ -136,7 +136,10 @@ def read_features_csv(path: str) -> list[LabeledSample]:
 def extract_samples(manifest: str, theta: float, tau: int) -> list[LabeledSample]:
     """Features for every manifest sequence; motion-free ones are skipped with
     a warning. Pipeline errors are re-raised with the sequence directory."""
-    records = load_manifest_file(manifest)
+    try:
+        records = load_manifest_file(manifest)
+    except (MhiError, ValueError) as exc:
+        raise MhiError(f"{manifest}: {exc}") from exc
     root = os.path.dirname(os.path.abspath(manifest))
     samples = []
     for record in records:
@@ -259,7 +262,8 @@ def predict_windows(
     Windows start every ``stride`` frames; the trailing full window is always
     included so the end of the sequence is covered. Windows without motion get
     label "none" with score 0. Each entry carries the secondary-blob
-    diagnostic of its motion-energy image.
+    diagnostic of its motion-energy image. Features and diagnostics are
+    computed per block of windows; only the classifier runs window by window.
     """
     n = len(seq)
     if n < 2:
@@ -272,25 +276,22 @@ def predict_windows(
     if starts[-1] != n - size:
         starts.append(n - size)
 
-    base = seq.record.start
     entries = []
-    templates = window_templates(seq, model.theta, model.tau, size, starts)
-    for offset, template in zip(starts, templates):
-        try:
-            label, score = model.predict(feature_vector(template))
-        except NoMotionError:
-            label, score = "none", 0.0
-        blob = detect_secondary_blob(template.mei)
-        entries.append({
-            "start_frame": base + offset,
-            "end_frame": base + offset + size - 1,
-            "label": label,
-            "score": float(score),
-            "diagnostic": {
-                "component_count": blob.component_count,
-                "warning": blob.warning,
-            },
-        })
+    for block in window_templates(seq, model.theta, model.tau, size, starts):
+        features = feature_vectors(block.mhi, block.mei)
+        blobs = detect_secondary_blobs(block.mei)
+        for (_, end), vector, blob in zip(block.spans, features, blobs):
+            label, score = ("none", 0.0) if vector is None else model.predict(vector)
+            entries.append({
+                "start_frame": end - size + 1,
+                "end_frame": end,
+                "label": label,
+                "score": float(score),
+                "diagnostic": {
+                    "component_count": blob.component_count,
+                    "warning": blob.warning,
+                },
+            })
     return entries
 
 

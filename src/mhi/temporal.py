@@ -15,6 +15,12 @@ window's final mask, and 0 at a pixel idle through the window. As
 floor at zero never applies and the fold equals ``where(age < steps,
 tau - age, 0)``. One pass over the masks thus yields the MHI and MEI of every
 trailing window, whole clips and sliding windows alike.
+
+Windows come out in blocks of ``B``: ``(B, H, W)`` MHI and MEI stacks, so the
+moment and blob stages downstream run once per block, not once per window.
+``B`` follows the frame area, holding each float64 MHI stack near 1 MiB (8
+windows at 128x128, 2 at 256x256, 1 above that), so the memory they take is
+bounded by the frame size, whatever the number of windows.
 """
 
 from __future__ import annotations
@@ -30,6 +36,9 @@ from .imgproc import frame_diff, gaussian_smooth, morph_open
 
 # Frames per motion_masks call; consecutive blocks share one frame.
 _BLOCK = 32
+
+# float64 values per (B, H, W) window stack: 1 MiB.
+_BLOCK_VALUES = 2**17
 
 
 @dataclass
@@ -55,6 +64,16 @@ class TemporalTemplate:
     mhi: MotionHistory
     mei: np.ndarray
     frame_span: tuple[int, int]
+
+
+@dataclass
+class TemplateBlock:
+    """Templates of B consecutive windows: ``(B, H, W)`` float64 MHI values and
+    uint8 MEI stacks, with each window's absolute frame span."""
+
+    mhi: np.ndarray
+    mei: np.ndarray
+    spans: list[tuple[int, int]]
 
 
 def mhi_step(h_prev: MotionHistory, mask: np.ndarray) -> MotionHistory:
@@ -96,29 +115,40 @@ def motion_masks(frames: np.ndarray, theta: float) -> np.ndarray:
 
 
 def window_templates(seq: FrameSequence, theta: float, tau: int, size: int, starts):
-    """Yield the template of each ``size``-frame window of ``seq`` at ``starts``.
+    """Yield the templates of the ``size``-frame windows of ``seq`` at ``starts``
+    as ``TemplateBlock``s of at most ``max(1, 2**17 // (H * W))`` windows.
 
-    ``starts`` ascend and every window lies inside ``seq``. Masks are computed
-    once, in blocks of ``_BLOCK`` frames that overlap by one frame, so their
-    memory does not grow with the sequence. Each template uses the window's
-    trailing ``min(size - 1, tau)`` mask steps, as ``build_template`` does.
+    ``starts`` is a sequence of ascending window starts, and every window lies
+    inside ``seq``. Masks are computed once, in blocks of ``_BLOCK`` frames
+    that overlap by one frame, so neither they nor the window blocks grow with
+    the sequence. Each template uses the window's trailing
+    ``min(size - 1, tau)`` mask steps, as ``build_template`` does.
     """
     steps = min(size - 1, tau)
+    shape = seq.frames.shape[1:]
+    per_block = max(1, _BLOCK_VALUES // max(1, math.prod(shape)))
     masks = (mask for lo in range(0, len(seq) - 1, _BLOCK - 1)
              for mask in motion_masks(seq.frames[lo : lo + _BLOCK], theta))
-    last = np.full(seq.frames.shape[1:], -size)  # never moved: age > steps
+    last = np.full(shape, -size)  # never moved: age > steps
+    ages = np.empty((min(per_block, len(starts)), *shape), dtype=last.dtype)
+    spans = []
     t = -1
     for start in starts:
         while t < start + size - 2:
             t += 1
             last[next(masks) > 0] = t
-        age = t - last
-        active = age < steps
-        yield TemporalTemplate(
-            mhi=MotionHistory(np.where(active, tau - age, 0.0), tau),
-            mei=active.astype(np.uint8),
-            frame_span=(seq.record.start + t + 1 - steps, seq.record.start + t + 1),
-        )
+        np.subtract(t, last, out=ages[len(spans)])
+        spans.append((seq.record.start + t + 1 - steps, seq.record.start + t + 1))
+        if len(spans) == per_block:
+            yield _template_block(ages, steps, tau, spans)
+            spans = []
+    if spans:
+        yield _template_block(ages[: len(spans)], steps, tau, spans)
+
+
+def _template_block(ages: np.ndarray, steps: int, tau: int, spans) -> TemplateBlock:
+    active = ages < steps
+    return TemplateBlock(np.where(active, tau - ages, 0.0), active.astype(np.uint8), spans)
 
 
 def build_template(seq: FrameSequence, theta: float, tau: int) -> TemporalTemplate:
@@ -127,11 +157,13 @@ def build_template(seq: FrameSequence, theta: float, tau: int) -> TemporalTempla
     Only the trailing ``min(len-1, tau)`` mask steps feed the template, so a
     sequence longer than the window contributes just its most recent motion.
     The MEI is the pixelwise OR of those same masks, which makes its support
-    exactly the set of pixels the MHI ever saw active.
+    exactly the set of pixels the MHI ever saw active. The template is the one
+    window of a one-window ``window_templates`` block.
     """
     if len(seq) < 2:
         raise TooFewFramesError(f"need >= 2 frames, got {len(seq)}")
-    return next(window_templates(seq, theta, tau, len(seq), [0]))
+    block = next(window_templates(seq, theta, tau, len(seq), [0]))
+    return TemporalTemplate(MotionHistory(block.mhi[0], tau), block.mei[0], block.spans[0])
 
 
 def normalize_mhi(mhi: MotionHistory) -> np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mhi import temporal
 from mhi.classify import TrainedModel
 from mhi.cli import FEATURE_HEADER, features_to_csv, main, read_features_csv
 from mhi.diagnostics import detect_secondary_blob
@@ -267,9 +268,15 @@ def test_predict_dense_splice_matches_library(workspace, tmp_path, kind):
 
     model = TrainedModel.load(workspace[kind])
     frames = load_sequence(SequenceRecord(str(video), 0, 23)).frames
-    for entry in entries:
-        start, end = entry["start_frame"], entry["end_frame"]
-        assert end == start + 15
+    assert entries == _reference_entries(model, frames, 16, range(9))
+    assert {e["label"] for e in entries} >= {"slide", "sway"}
+
+
+def _reference_entries(model, frames, size, starts):
+    """Each window alone through build_template -> feature_vector -> predict."""
+    entries = []
+    for start in starts:
+        end = start + size - 1
         window = FrameSequence(frames[start : end + 1], SequenceRecord("w", start, end))
         template = build_template(window, theta=model.theta, tau=model.tau)
         try:
@@ -277,12 +284,11 @@ def test_predict_dense_splice_matches_library(workspace, tmp_path, kind):
         except NoMotionError:
             label, score = "none", 0.0
         blob = detect_secondary_blob(template.mei)
-        assert entry["label"] == label
-        assert entry["score"] == float(score)
-        assert entry["diagnostic"] == {
-            "component_count": blob.component_count, "warning": blob.warning,
-        }
-    assert {e["label"] for e in entries} >= {"slide", "sway"}
+        entries.append({
+            "start_frame": start, "end_frame": end, "label": label, "score": float(score),
+            "diagnostic": {"component_count": blob.component_count, "warning": blob.warning},
+        })
+    return entries
 
 
 def test_predict_static_video_none(workspace, tmp_path):
@@ -572,6 +578,67 @@ def test_deeply_nested_json_exit_two(workspace, tmp_path, caplog, case):
     argv, named = case(workspace, tmp_path)
     assert main(argv) == 2
     assert str(named) in caplog.text
+
+
+@pytest.mark.parametrize("line, message", [
+    (b'{"dir": "clip", "label": "slide", "start": 0, "end": }', "line 1: invalid JSON: "),
+    (b'{"dir": "clip", "label": "slide", "start": 0}', "line 1: missing key 'end'"),
+    (b'{"dir": "clip\xff"}', "'utf-8' codec can't decode byte 0xff"),
+], ids=["bad-json", "missing-key", "not-utf8"])
+@pytest.mark.parametrize("command", ["extract", "train"])
+def test_manifest_errors_name_the_manifest(tmp_path, caplog, command, line, message):
+    manifest = tmp_path / "bad.jsonl"
+    manifest.write_bytes(line + b"\n")
+    argv = {
+        "extract": ["extract", "--manifest", str(manifest), "--out", str(tmp_path / "f.csv")],
+        "train": ["train", "--manifest", str(manifest), "--classifier", "knn",
+                  "--out", str(tmp_path / "m.json")],
+    }[command]
+    assert main(argv) == 2
+    assert f"{manifest}: {message}" in caplog.text
+
+
+def _video_with_still_stretch(workspace, directory):
+    """slide_000, then its last frame held for 20 frames, then sway_000: 44 frames."""
+    directory.mkdir()
+    slide, sway = workspace["clips"] / "slide_000", workspace["clips"] / "sway_000"
+    sources = ([frame_path(slide, i) for i in range(12)] + [frame_path(slide, 11)] * 20
+               + [frame_path(sway, i) for i in range(12)])
+    for index, source in enumerate(sources):
+        shutil.copy(source, frame_path(directory, index))
+    return load_sequence(SequenceRecord(str(directory), 0, len(sources) - 1)).frames
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("per_block", [None, 5])
+@pytest.mark.parametrize("stride", [1, 7, None])
+def test_predict_still_stretch_matches_per_window_reference(
+    workspace, tmp_path, monkeypatch, stride, per_block,
+):
+    # Every warning is an error here, so a zero-mass division in the block
+    # moments would fail the run. Blocks of 5 windows put block seams inside
+    # the still stretch as well as at its edges.
+    frames = _video_with_still_stretch(workspace, tmp_path / "video")
+    if per_block is not None:
+        monkeypatch.setattr(temporal, "_BLOCK_VALUES", per_block * frames[0].size)
+    out = tmp_path / "pred.json"
+    argv = ["predict", "--model", str(workspace["mlp"]), "--frames", str(tmp_path / "video"),
+            "--out", str(out)]
+    assert main(argv + ([] if stride is None else ["--stride", str(stride)])) == 0
+    entries = json.loads(out.read_text())
+
+    size = int(TAU)  # the default window: the model's tau
+    starts = list(range(0, len(frames) - size + 1, stride or size // 2))
+    if starts[-1] != len(frames) - size:
+        starts.append(len(frames) - size)
+    model = TrainedModel.load(workspace["mlp"])
+    assert entries == _reference_entries(model, frames, size, starts)
+    # Windows starting at 11..20 lie inside the still stretch.
+    still = [e for e in entries if 11 <= e["start_frame"] <= 20]
+    assert still
+    assert all(e["label"] == "none" and e["score"] == 0.0 for e in still)
+    assert all(e["diagnostic"] == {"component_count": 0, "warning": False} for e in still)
+    assert {e["label"] for e in entries} - {"none"}
 
 
 def test_predict_covers_frames_past_six_digits(workspace, tmp_path):

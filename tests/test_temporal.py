@@ -1,11 +1,14 @@
 """MHI recurrence, template assembly, and display normalization."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from mhi import temporal
 from mhi.errors import DimensionMismatchError, TooFewFramesError
 from mhi.imgio import FrameSequence, SequenceRecord
 from mhi.imgproc import frame_diff, gaussian_smooth, morph_open
@@ -222,18 +225,20 @@ def window_cases(draw):
     size = draw(st.integers(2, n))
     tau = draw(st.integers(1, 40))
     stride = draw(st.integers(1, 5))
-    return n, size, tau, stride, draw(st.integers(0, 2**32 - 1))
+    per_block = draw(st.one_of(st.none(), st.integers(1, 9)))  # None: the frame-area default
+    return n, size, tau, stride, draw(st.integers(0, 2**32 - 1)), per_block
 
 
 @settings(max_examples=40, deadline=None)
 @given(window_cases())
-@example((20, 15, 4, 1, 1))               # size - 1 > tau
-@example((12, 6, 1, 1, 2))                # tau = 1
-@example((20, 8, 10, 5, 3))               # stride 5, trailing window clamped to 12
-@example((2 * _BLOCK + 15, 30, 12, 1, 4))  # windows straddle the block seams
-@example((3 * _BLOCK, 3 * _BLOCK, 300, 1, 5))
+@example((20, 15, 4, 1, 1, None))               # size - 1 > tau
+@example((12, 6, 1, 1, 2, 3))                   # tau = 1, blocks of 3, 3 and 1
+@example((20, 8, 10, 5, 3, 2))                  # stride 5, trailing window clamped to 12
+@example((2 * _BLOCK + 15, 30, 12, 1, 4, 4))    # windows straddle mask and window-block seams
+@example((2 * _BLOCK + 15, 30, 12, 1, 4, None))
+@example((3 * _BLOCK, 3 * _BLOCK, 300, 1, 5, 1))
 def test_window_templates_match_fold_oracle(case):
-    n, size, tau, stride, seed = case
+    n, size, tau, stride, seed, per_block = case
     rng = np.random.Generator(np.random.PCG64(seed))
     frames = blocky_frames(rng, n, 4, 5)
     base = int(rng.integers(0, 100))
@@ -241,13 +246,33 @@ def test_window_templates_match_fold_oracle(case):
     starts = list(range(0, n - size + 1, stride))
     if starts[-1] != n - size:
         starts.append(n - size)
-    templates = list(window_templates(seq, 10.0, tau, size, starts))
-    assert len(templates) == len(starts)
-    for start, got in zip(starts, templates):
+    values = temporal._BLOCK_VALUES if per_block is None else per_block * frames[0].size
+    with mock.patch.object(temporal, "_BLOCK_VALUES", values):
+        blocks = list(window_templates(seq, 10.0, tau, size, starts))
+    # Every block but the last holds B windows, B following the frame area.
+    full = max(1, values // frames[0].size)
+    assert [len(b.spans) for b in blocks] == [
+        min(full, len(starts) - lo) for lo in range(0, len(starts), full)
+    ]
+    windows = []
+    for block in blocks:
+        assert block.mhi.shape == block.mei.shape == (len(block.spans), *frames.shape[1:])
+        windows.extend(zip(block.mhi, block.mei, block.spans))
+    assert len(windows) == len(starts)
+    for start, (got_mhi, got_mei, got_span) in zip(starts, windows):
         mhi, mei, span = window_oracle(frames, 10.0, tau, size, start, base)
-        assert got.mhi.values.dtype == mhi.dtype == np.float64
-        assert got.mei.dtype == mei.dtype == np.uint8
-        np.testing.assert_array_equal(got.mhi.values, mhi)
-        np.testing.assert_array_equal(got.mei, mei)
-        assert got.mhi.tau == tau
-        assert got.frame_span == span
+        assert got_mhi.dtype == mhi.dtype == np.float64
+        assert got_mei.dtype == mei.dtype == np.uint8
+        np.testing.assert_array_equal(got_mhi, mhi)
+        np.testing.assert_array_equal(got_mei, mei)
+        assert got_span == span
+
+
+def test_build_template_is_a_one_window_block():
+    seq = make_translating_sequence(frames=12, step=2)
+    template = build_template(seq, theta=10.0, tau=7)
+    (block,) = window_templates(seq, 10.0, 7, 12, [0])
+    assert template.mhi.tau == 7
+    np.testing.assert_array_equal(template.mhi.values, block.mhi[0])
+    np.testing.assert_array_equal(template.mei, block.mei[0])
+    assert template.frame_span == block.spans[0] == (4, 11)
