@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,9 +35,6 @@ from .errors import (
 from .moments import LabeledSample
 from .temporal import require_theta
 
-#: Slack absorbing float representation error in ratio * count products.
-_RATIO_SLACK = 1e-9
-
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
@@ -45,29 +42,22 @@ def _rng(seed: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Train/val/test ratios (must sum to 1) and the shuffle seed."""
+    """The shuffle seed of ``split_dataset``; its per-label cuts are fixed."""
 
-    ratios: tuple[float, float, float] = (0.50, 0.25, 0.25)
     seed: int = 0
-
-    def __post_init__(self):
-        if any(r < 0 for r in self.ratios):
-            raise ValueError(f"ratios must be >= 0: {self.ratios}")
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ValueError(f"ratios must sum to 1: {self.ratios}")
 
 
 def split_dataset(
     samples: list[LabeledSample], spec: SplitSpec
 ) -> tuple[list[LabeledSample], list[LabeledSample], list[LabeledSample]]:
-    """Stratified deterministic split.
+    """Stratified deterministic 50/25/25 split.
 
-    Within each label group (taken in sorted label order) the samples are
-    shuffled by a PCG64 generator seeded from ``spec.seed`` and cut at the
-    ratio boundaries: floor for train, floor for val, remainder test. Raises
-    ``StratificationError`` when there are fewer than 4 samples or any label
-    appears fewer than 2 times, and ``EmptySplitError`` when a split ends up
-    empty overall.
+    Within each label group of n samples (taken in sorted label order) the
+    samples are shuffled by a PCG64 generator seeded from ``spec.seed``; the
+    first ``n // 2`` go to train, the next ``n // 4`` to val and the rest to
+    test. Raises ``StratificationError`` when there are fewer than 4 samples
+    or any label appears fewer than 2 times, and ``EmptySplitError`` when a
+    split ends up empty overall.
     """
     if len(samples) < 4:
         raise StratificationError(f"need >= 4 samples, got {len(samples)}")
@@ -84,13 +74,11 @@ def split_dataset(
     train: list[LabeledSample] = []
     val: list[LabeledSample] = []
     test: list[LabeledSample] = []
-    r_train, r_val, _ = spec.ratios
     for label in sorted(groups):
         group = groups[label]
         order = rng.permutation(len(group))
         shuffled = [group[i] for i in order]
-        n_train = math.floor(len(group) * r_train + _RATIO_SLACK)
-        n_val = math.floor(len(group) * r_val + _RATIO_SLACK)
+        n_train, n_val = len(group) // 2, len(group) // 4
         train.extend(shuffled[:n_train])
         val.extend(shuffled[n_train : n_train + n_val])
         test.extend(shuffled[n_train + n_val :])
@@ -147,29 +135,29 @@ class KnnModel:
     def predict(self, features: np.ndarray) -> tuple[str, dict[str, int]]:
         """Majority label among the k nearest by Euclidean distance.
 
-        Tie-breaks, in order: equal distances prefer the lower stored-sample
-        index; equal vote counts prefer the smaller mean neighbor distance,
-        then the lexicographically smaller label.
+        Equal distances prefer the lower stored-sample index. The winner ranks
+        first by (most votes, smallest mean neighbor distance, lexicographically
+        smallest label).
         """
         diffs = self.vectors - np.asarray(features, dtype=np.float64)
         dist = np.sqrt(np.sum(diffs * diffs, axis=1))
         nearest = np.argsort(dist, kind="stable")[: self.k]
-        votes = Counter(self.labels[i] for i in nearest)
-        top = max(votes.values())
-        contenders = [label for label, count in votes.items() if count == top]
-        if len(contenders) == 1:
-            return contenders[0], dict(votes)
-        mean_dist = {
-            label: float(np.mean([dist[i] for i in nearest if self.labels[i] == label]))
-            for label in contenders
-        }
-        winner = min(contenders, key=lambda label: (mean_dist[label], label))
-        return winner, dict(votes)
+        near = defaultdict(list)
+        for i in nearest:
+            near[self.labels[i]].append(dist[i])
+
+        def rank(label):
+            # np.mean's sum and division, without its per-call overhead.
+            mean_dist = np.add.reduce(near[label]) / len(near[label])
+            return -len(near[label]), mean_dist, label
+
+        return min(near, key=rank), {label: len(d) for label, d in near.items()}
 
 
 @dataclass(frozen=True)
 class MlpConfig:
-    """Training hyperparameters; defaults match the CLI defaults."""
+    """Training hyperparameters. ``mhi train`` reads its ``--hidden``,
+    ``--lr``, ``--epochs`` and ``--batch`` defaults from these."""
 
     hidden: tuple[int, ...] = (64, 32)
     lr: float = 0.05
@@ -199,10 +187,7 @@ class MlpModel:
 
     def forward(self, matrix: np.ndarray) -> np.ndarray:
         """Class probabilities for a batch of row vectors."""
-        h = np.asarray(matrix, dtype=np.float64)
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.tanh(h @ w + b)
-        return _softmax(h @ self.weights[-1] + self.biases[-1])
+        return _forward(self.weights, self.biases, matrix)[-1]
 
     def predict(self, features: np.ndarray) -> tuple[str, np.ndarray]:
         """Label with the highest probability; ties go to the lexicographically
@@ -213,10 +198,18 @@ class MlpModel:
         return label, probs
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+def _forward(
+    weights: list[np.ndarray], biases: list[np.ndarray], matrix: np.ndarray
+) -> list[np.ndarray]:
+    """Every layer's activations for a batch of row vectors: the float64
+    input, each tanh hidden layer, and the softmax probabilities last."""
+    activations = [np.asarray(matrix, dtype=np.float64)]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        activations.append(np.tanh(activations[-1] @ w + b))
+    logits = activations[-1] @ weights[-1] + biases[-1]
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    activations.append(exp / exp.sum(axis=1, keepdims=True))
+    return activations
 
 
 def mlp_init(
@@ -243,14 +236,10 @@ def mlp_loss_and_grads(
     directly, so a finite-difference check of this function validates the
     gradients the optimizer actually uses.
     """
-    activations = [np.asarray(matrix, dtype=np.float64)]
     # Divergence shows up as inf/nan here and is reported through the loss
     # (train_mlp raises NonFiniteLossError), so numpy's warnings add nothing.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for w, b in zip(weights[:-1], biases[:-1]):
-            activations.append(np.tanh(activations[-1] @ w + b))
-        probs = _softmax(activations[-1] @ weights[-1] + biases[-1])
-
+        *activations, probs = _forward(weights, biases, matrix)
         n = matrix.shape[0]
         loss = float(-np.mean(np.log(probs[np.arange(n), target_idx])))
 
@@ -266,13 +255,6 @@ def mlp_loss_and_grads(
             # tanh'(z) expressed through the activation itself: 1 - a^2.
             delta = (delta @ weights[layer].T) * (1.0 - activations[layer] ** 2)
     return loss, grads_w, grads_b
-
-
-def _accuracy(model: MlpModel, matrix: np.ndarray, target_idx: np.ndarray) -> float:
-    if matrix.shape[0] == 0:
-        return 0.0
-    predicted = model.forward(matrix).argmax(axis=1)
-    return float(np.mean(predicted == target_idx))
 
 
 def train_mlp(
@@ -295,21 +277,18 @@ def train_mlp(
         raise SingleClassError(f"need >= 2 classes, got {labels}")
     index = {label: i for i, label in enumerate(labels)}
 
-    x_train = np.stack([s.features for s in train]).astype(np.float64)
-    y_train = np.array([index[s.label] for s in train])
-    x_val = (
-        np.stack([s.features for s in val]).astype(np.float64)
-        if val
-        else np.empty((0, x_train.shape[1]))
-    )
-    y_val = np.array([index[s.label] for s in val], dtype=int)
+    def encode(samples):
+        return (np.stack([s.features for s in samples]).astype(np.float64),
+                np.array([index[s.label] for s in samples]))
+
+    x_train, y_train = encode(train)
+    x_select, y_select = encode(val or train)
 
     sizes = [x_train.shape[1], *cfg.hidden, len(labels)]
     rng = _rng(cfg.seed)
     # One stream drives both init and epoch shuffling, consumed in fixed order.
     weights, biases = mlp_init(sizes, rng)
 
-    model = MlpModel(sizes=sizes, weights=weights, biases=biases, labels=labels)
     best_acc = -1.0
     best_weights = [w.copy() for w in weights]
     best_biases = [b.copy() for b in biases]
@@ -328,10 +307,8 @@ def train_mlp(
             for layer in range(len(weights)):
                 weights[layer] -= cfg.lr * grads_w[layer]
                 biases[layer] -= cfg.lr * grads_b[layer]
-        if val:
-            acc = _accuracy(model, x_val, y_val)
-        else:
-            acc = _accuracy(model, x_train, y_train)
+        predicted = _forward(weights, biases, x_select)[-1].argmax(axis=1)
+        acc = float(np.mean(predicted == y_select))
         history.append(acc)
         if acc > best_acc:
             best_acc = acc
@@ -408,12 +385,8 @@ class TrainedModel:
     mlp: MlpModel | None = None
 
     @property
-    def inner(self):
-        return self.knn if self.classifier == "knn" else self.mlp
-
-    @property
     def label_set(self) -> list[str]:
-        return self.inner.label_set
+        return (self.knn or self.mlp).label_set
 
     def predict(self, raw_features: np.ndarray) -> tuple[str, float]:
         """Standardize raw features and classify; score is the vote fraction
@@ -456,10 +429,13 @@ class TrainedModel:
 
     @classmethod
     def from_document(cls, doc: dict, feature_dim: int | None = None) -> "TrainedModel":
-        """Rebuild a model, checking every field's presence and shape.
+        """Rebuild a model, checking every field's presence, type and shape.
 
         The feature width is ``feature_dim`` if given, else that of the
-        standardizer mean; every other array must agree with it.
+        standardizer mean; every other array must agree with it. Arrays hold
+        finite JSON numbers, ``standardizer.std`` is positive, ``tau``,
+        ``knn.k`` and the ``mlp.sizes`` are integers >= 1 and ``theta`` is a
+        finite number.
         """
         if _field(doc, "version") != 1:
             raise ModelFormatError(f"unsupported model version: {doc['version']}")
@@ -468,7 +444,10 @@ class TrainedModel:
             raise ModelFormatError(f"unknown classifier type: {kind!r}")
         mean = _array(doc, "standardizer.mean", (feature_dim,))
         width = len(mean)
-        standardizer = Standardizer(mean=mean, std=_array(doc, "standardizer.std", (width,)))
+        std = _array(doc, "standardizer.std", (width,))
+        if not (std > 0).all():
+            raise ModelFormatError("standardizer.std must be > 0")
+        standardizer = Standardizer(mean=mean, std=std)
         labels = list(_field(doc, "labels"))
         if len(set(labels)) != len(labels):
             raise ModelFormatError(f"labels {labels} are not unique")
@@ -480,12 +459,13 @@ class TrainedModel:
                     f"labels {labels} differ from the sorted knn.labels {sorted(set(stored))}"
                 )
             knn = KnnModel(
-                k=int(_field(doc, "knn.k")),
+                k=_count(doc, "knn.k"),
                 vectors=_array(doc, "knn.vectors", (len(stored), width)),
                 labels=stored,
             )
         else:
-            sizes = [int(s) for s in _field(doc, "mlp.sizes")]
+            depth = len(_field(doc, "mlp.sizes"))
+            sizes = [_count(doc, f"mlp.sizes.{l}") for l in range(depth)]
             if len(sizes) < 2 or sizes[0] != width or sizes[-1] != len(labels):
                 raise ModelFormatError(
                     f"mlp.sizes {sizes} must run from {width} inputs "
@@ -498,13 +478,10 @@ class TrainedModel:
                 biases=[_array(doc, f"mlp.biases.{l}", sizes[l + 1 : l + 2]) for l in layers],
                 labels=labels,
             )
-        tau = int(_field(doc, "tau"))
-        if tau < 1:
-            raise ModelFormatError(f"tau must be >= 1, got {tau}")
         return cls(
             classifier=kind,
-            tau=tau,
-            theta=require_theta(float(_field(doc, "theta"))),
+            tau=_count(doc, "tau"),
+            theta=require_theta(float(_array(doc, "theta", ()))),
             standardizer=standardizer,
             knn=knn,
             mlp=mlp,
@@ -537,11 +514,29 @@ def _field(doc, path: str):
     return value
 
 
+def _count(doc, path: str) -> int:
+    """An integer field >= 1; a JSON float or bool is not one."""
+    value = _field(doc, path)
+    if type(value) is not int or value < 1:
+        raise ModelFormatError(f"{path} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _array(doc, path: str, shape) -> np.ndarray:
-    """A float64 array field of ``shape``, where ``None`` allows any length."""
-    array = np.array(_field(doc, path), dtype=np.float64)
-    if array.ndim != len(shape) or any(
-        want is not None and got != want for got, want in zip(array.shape, shape)
+    """A float64 array field of ``shape``, where ``None`` allows any length,
+    holding finite JSON numbers only (a bool or a string is not one)."""
+    entries = np.array(_field(doc, path), dtype=object)
+    if entries.ndim != len(shape) or any(
+        want is not None and got != want for got, want in zip(entries.shape, shape)
     ):
-        raise ModelFormatError(f"{path} has shape {array.shape}, expected {tuple(shape)}")
+        raise ModelFormatError(f"{path} has shape {entries.shape}, expected {tuple(shape)}")
+    if not {int, float}.issuperset(map(type, entries.flat)):
+        raise ModelFormatError(f"{path} must hold numbers only")
+    try:
+        array = entries.astype(np.float64)
+        finite = np.isfinite(array).all()
+    except OverflowError:  # an integer past the float64 range
+        finite = False
+    if not finite:
+        raise ModelFormatError(f"{path} must hold finite numbers only")
     return array

@@ -113,23 +113,33 @@ def features_to_csv(samples: list[LabeledSample]) -> str:
     return out.getvalue()
 
 
+def _read_text(path: str) -> str:
+    """The UTF-8 text of the file at ``path``, line endings kept; a decode
+    error names the file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MhiError(f"{path}: {exc}") from exc
+
+
 def read_features_csv(path: str) -> list[LabeledSample]:
     samples = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != FEATURE_HEADER.split(","):
-            raise MhiError(f"{path}: not a feature CSV (bad header)")
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            if len(row) != 2 + FEATURE_DIM:
-                raise MhiError(f"{where}: row has {len(row)} fields, expected {2 + FEATURE_DIM}")
-            try:
-                features = np.array([float(v) for v in row[2:]], dtype=np.float64)
-            except ValueError as exc:
-                raise MhiError(f"{where}: {exc}") from exc
-            if not np.all(np.isfinite(features)):
-                raise MhiError(f"{where}: non-finite feature value")
-            samples.append(LabeledSample(features=features, label=row[0], source=row[1]))
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    if next(reader, None) != FEATURE_HEADER.split(","):
+        raise MhiError(f"{path}: not a feature CSV (bad header)")
+    for row in reader:
+        where = f"{path}: line {reader.line_num}"
+        if len(row) != 2 + FEATURE_DIM:
+            raise MhiError(f"{where}: row has {len(row)} fields, expected {2 + FEATURE_DIM}")
+        try:
+            features = np.array([float(v) for v in row[2:]], dtype=np.float64)
+        except ValueError as exc:
+            raise MhiError(f"{where}: {exc}") from exc
+        if not np.all(np.isfinite(features)):
+            raise MhiError(f"{where}: non-finite feature value")
+        samples.append(LabeledSample(features=features, label=row[0], source=row[1]))
     return samples
 
 
@@ -175,6 +185,7 @@ def _confusion_section(name: str, model: TrainedModel, samples) -> str:
 
 
 def cmd_train(args) -> int:
+    source = args.features or args.manifest
     if args.features:
         samples = read_features_csv(args.features)
     else:
@@ -187,7 +198,7 @@ def cmd_train(args) -> int:
             raise SingleClassError("training needs samples from >= 2 classes")
         train, val, test = split_dataset(labeled, SplitSpec(seed=args.seed))
     except MhiError as exc:
-        raise MhiError(f"{args.features or args.manifest}: {exc}") from exc
+        raise MhiError(f"{source}: {exc}") from exc
     standardizer = Standardizer.fit(train)
 
     def standardized(part):
@@ -196,28 +207,27 @@ def cmd_train(args) -> int:
             for s in part
         ]
 
+    knn = mlp = None
     if args.classifier == "knn":
         std_train = standardized(train)
-        knn = KnnModel(
-            k=args.k,
-            vectors=np.stack([s.features for s in std_train]),
-            labels=[s.label for s in std_train],
-        )
-        model = TrainedModel(
-            classifier="knn", tau=args.tau, theta=args.theta,
-            standardizer=standardizer, knn=knn,
-        )
+        try:
+            knn = KnnModel(
+                k=args.k,
+                vectors=np.stack([s.features for s in std_train]),
+                labels=[s.label for s in std_train],
+            )
+        except ValueError as exc:
+            raise MhiError(f"{source}: {exc}") from exc
     else:
         cfg = MlpConfig(
             hidden=args.hidden, lr=args.lr, epochs=args.epochs,
             batch=args.batch, seed=args.seed,
         )
         mlp = train_mlp(standardized(train), standardized(val), cfg)
-        model = TrainedModel(
-            classifier="mlp", tau=args.tau, theta=args.theta,
-            standardizer=standardizer, mlp=mlp,
-        )
-
+    model = TrainedModel(
+        classifier=args.classifier, tau=args.tau, theta=args.theta,
+        standardizer=standardizer, knn=knn, mlp=mlp,
+    )
     model.save(args.out)
 
     report = "".join(
@@ -267,7 +277,7 @@ def predict_windows(
     """
     n = len(seq)
     if n < 2:
-        raise MhiError(f"need >= 2 frames to predict, got {n}")
+        raise MhiError(f"{seq.record.dir}: need >= 2 frames to predict, got {n}")
     size = min(window if window is not None else model.tau, n)
     size = max(size, 2)
     step = stride if stride is not None else max(1, size // 2)
@@ -313,10 +323,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        specs = parse_specs(text)
+        specs = parse_specs(_read_text(args.spec))
     except SynthSpecError as exc:
         raise SynthSpecError(f"{args.spec}: {exc}") from exc
     records = generate(specs, args.out)
@@ -356,10 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classifier", choices=("knn", "mlp"), required=True)
     _add_pipeline_flags(p)
     p.add_argument("--k", type=_positive, default=5, help="KNN neighbor count")
-    p.add_argument("--lr", type=_learning_rate, default=0.05, help="MLP learning rate")
-    p.add_argument("--epochs", type=_positive, default=300, help="MLP training epochs")
-    p.add_argument("--batch", type=_positive, default=2, help="MLP mini-batch size")
-    p.add_argument("--hidden", type=_hidden_sizes, default=(64, 32),
+    p.add_argument("--lr", type=_learning_rate, default=MlpConfig.lr, help="MLP learning rate")
+    p.add_argument("--epochs", type=_positive, default=MlpConfig.epochs,
+                   help="MLP training epochs")
+    p.add_argument("--batch", type=_positive, default=MlpConfig.batch,
+                   help="MLP mini-batch size")
+    p.add_argument("--hidden", type=_hidden_sizes, default=MlpConfig.hidden,
                    help="MLP hidden layer sizes, comma-separated")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the split shuffle and MLP training")

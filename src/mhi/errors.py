@@ -77,7 +77,7 @@ class StratificationError(MhiError):
 
 
 class EmptySplitError(MhiError):
-    """A split ratio left the train, validation, or test set empty."""
+    """The per-label cuts left the train, validation, or test set empty."""
 
 
 class EmptyTrainingError(MhiError):

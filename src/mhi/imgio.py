@@ -240,7 +240,7 @@ def load_sequence(record: SequenceRecord, root: str | os.PathLike | None = None)
     whose paths are relative to the manifest file). Raises
     ``MissingFrameError`` for an absent file and ``DimensionMismatchError``
     when a frame's shape differs from the first frame's; both carry the
-    index of the offending frame.
+    index of the offending frame and name its file.
     """
     directory = os.path.join(root, record.dir) if root is not None else record.dir
     frames = []
@@ -252,7 +252,7 @@ def load_sequence(record: SequenceRecord, root: str | os.PathLike | None = None)
             raise MissingFrameError(index, path) from None
         if frames and frame.shape != frames[0].shape:
             raise DimensionMismatchError(
-                f"frame {index} is {frame.shape[1]}x{frame.shape[0]}, "
+                f"{path}: frame {index} is {frame.shape[1]}x{frame.shape[0]}, "
                 f"expected {frames[0].shape[1]}x{frames[0].shape[0]}",
                 index=index,
             )

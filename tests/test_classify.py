@@ -2,10 +2,14 @@
 
 import json
 import math
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mhi import classify
 from mhi.classify import (
     ConfusionMatrix,
     KnnModel,
@@ -85,15 +89,9 @@ def test_split_errors():
         split_dataset(make_samples({"a": 2, "b": 1}), SplitSpec())
     with pytest.raises(StratificationError):
         split_dataset(make_samples({"a": 5, "b": 1}), SplitSpec())
+    # Groups of 3 cut 1/0/2, so no sample reaches val.
     with pytest.raises(EmptySplitError):
-        split_dataset(make_samples({"a": 4, "b": 4}), SplitSpec(ratios=(1.0, 0.0, 0.0)))
-
-
-def test_split_spec_validation():
-    with pytest.raises(ValueError):
-        SplitSpec(ratios=(0.5, 0.6, -0.1))
-    with pytest.raises(ValueError):
-        SplitSpec(ratios=(0.5, 0.3, 0.3))
+        split_dataset(make_samples({"a": 3, "b": 3}), SplitSpec())
 
 
 # --- standardization ---
@@ -426,3 +424,160 @@ def test_trained_model_bad_documents():
     doc["classifier"] = "svm"
     with pytest.raises(ValueError):
         TrainedModel.from_document(doc)
+
+
+# --- equality with the rules the single code paths replaced ---
+#
+# Each oracle below is the earlier implementation, copied verbatim apart from
+# its name and arguments.
+
+def knn_rule_before(model, features):
+    diffs = model.vectors - np.asarray(features, dtype=np.float64)
+    dist = np.sqrt(np.sum(diffs * diffs, axis=1))
+    nearest = np.argsort(dist, kind="stable")[: model.k]
+    votes = Counter(model.labels[i] for i in nearest)
+    top = max(votes.values())
+    contenders = [label for label, count in votes.items() if count == top]
+    if len(contenders) == 1:
+        return contenders[0], dict(votes)
+    mean_dist = {
+        label: float(np.mean([dist[i] for i in nearest if model.labels[i] == label]))
+        for label in contenders
+    }
+    winner = min(contenders, key=lambda label: (mean_dist[label], label))
+    return winner, dict(votes)
+
+
+@st.composite
+def tie_heavy_knn(draw):
+    # Small integer coordinates make equal distances, and so equal votes and
+    # equal mean distances, common.
+    n = draw(st.integers(1, 12))
+    dim = draw(st.integers(1, 3))
+    coords = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    vectors = np.array(draw(st.lists(coords, min_size=n, max_size=n)), dtype=np.float64)
+    labels = draw(st.lists(st.sampled_from("abcd"), min_size=n, max_size=n))
+    queries = np.array(draw(st.lists(coords, min_size=1, max_size=8)), dtype=np.float64)
+    return KnnModel(k=draw(st.integers(1, n)), vectors=vectors, labels=labels), queries
+
+
+@settings(max_examples=400, deadline=None)
+@given(tie_heavy_knn())
+def test_knn_single_ranking_matches_former_tie_rule(case):
+    model, queries = case
+    for query in queries:
+        winner, votes = model.predict(query)
+        assert (winner, votes) == knn_rule_before(model, query)
+
+
+def split_rule_before(samples, seed, ratios=(0.50, 0.25, 0.25)):
+    groups = defaultdict(list)
+    for sample in samples:
+        groups[sample.label].append(sample)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    train, val, test = [], [], []
+    r_train, r_val, _ = ratios
+    for label in sorted(groups):
+        group = groups[label]
+        order = rng.permutation(len(group))
+        shuffled = [group[i] for i in order]
+        n_train = math.floor(len(group) * r_train + 1e-9)
+        n_val = math.floor(len(group) * r_val + 1e-9)
+        train.extend(shuffled[:n_train])
+        val.extend(shuffled[n_train : n_train + n_val])
+        test.extend(shuffled[n_train + n_val :])
+    return train, val, test
+
+
+def test_split_cuts_equal_former_ratio_floors():
+    for n in range(200_001):
+        assert (n // 2, n // 4) == (
+            math.floor(n * 0.5 + 1e-9), math.floor(n * 0.25 + 1e-9)
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sizes=st.lists(st.integers(2, 200), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_partitions_match_former_ratio_rule(sizes, seed):
+    samples = [
+        LabeledSample(np.zeros(1), f"g{g}", f"g{g}_{i}")
+        for g, size in enumerate(sizes)
+        for i in range(size)
+    ]
+    expected = [[s.source for s in part] for part in split_rule_before(samples, seed)]
+    if len(samples) < 4 or not all(expected):
+        with pytest.raises((StratificationError, EmptySplitError)):
+            split_dataset(samples, SplitSpec(seed=seed))
+        return
+    parts = split_dataset(samples, SplitSpec(seed=seed))
+    assert [[s.source for s in part] for part in parts] == expected
+
+
+def forward_loop_before(weights, biases, matrix):
+    h = np.asarray(matrix, dtype=np.float64)
+    activations = [h]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = np.tanh(h @ w + b)
+        activations.append(h)
+    logits = h @ weights[-1] + biases[-1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return activations, exp / exp.sum(axis=1, keepdims=True)
+
+
+def loss_and_grads_before(weights, biases, matrix, target_idx):
+    activations, probs = forward_loop_before(weights, biases, matrix)
+    n = matrix.shape[0]
+    loss = float(-np.mean(np.log(probs[np.arange(n), target_idx])))
+    delta = probs.copy()
+    delta[np.arange(n), target_idx] -= 1.0
+    delta /= n
+    grads_w = [np.empty(0)] * len(weights)
+    grads_b = [np.empty(0)] * len(biases)
+    for layer in range(len(weights) - 1, -1, -1):
+        grads_w[layer] = activations[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ weights[layer].T) * (1.0 - activations[layer] ** 2)
+    return loss, grads_w, grads_b
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 9), min_size=2, max_size=5),
+    batch=st.integers(1, 7),
+    scale=st.sampled_from([0.1, 1.0, 4.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_forward_pass_matches_former_layer_loop(sizes, batch, scale, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    weights, biases = mlp_init(sizes, rng)
+    weights = [w * scale for w in weights]
+    biases = [rng.standard_normal(b.shape) for b in biases]
+    matrix = rng.standard_normal((batch, sizes[0])) * scale
+    targets = rng.integers(0, sizes[-1], size=batch)
+
+    activations = classify._forward(weights, biases, matrix)
+    hidden, probs = forward_loop_before(weights, biases, matrix)
+    assert len(activations) == len(sizes)
+    for got, want in zip(activations, hidden + [probs]):
+        assert same_bits(got, want)
+    model = MlpModel(sizes=sizes, weights=weights, biases=biases,
+                     labels=[str(i) for i in range(sizes[-1])])
+    assert same_bits(model.forward(matrix), probs)
+
+    loss, grads_w, grads_b = mlp_loss_and_grads(weights, biases, matrix, targets)
+    loss_before, grads_w_before, grads_b_before = loss_and_grads_before(
+        weights, biases, matrix, targets
+    )
+    assert same_bits(loss, loss_before)
+    for got, want in zip(grads_w + grads_b, grads_w_before + grads_b_before):
+        assert same_bits(got, want)

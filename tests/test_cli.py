@@ -417,25 +417,56 @@ def _missing_layer(doc):
     doc["mlp"]["weights"].pop()
 
 
-@pytest.mark.parametrize("kind, corrupt", [
-    ("knn", lambda doc: _drop(doc, "theta")),
-    ("knn", lambda doc: _drop(doc, "knn", "k")),
-    ("mlp", lambda doc: _drop(doc, "standardizer", "std")),
-    ("knn", _narrow_vectors),
-    ("knn", _narrow_standardizer),
-    ("mlp", _narrow_standardizer),
-    ("mlp", _transpose_weights),
-    ("mlp", _short_bias),
-    ("mlp", _missing_layer),
-    ("mlp", lambda doc: doc.update(labels=["a", "b"])),
-    ("knn", lambda doc: doc.update(theta=float("nan"))),
-    ("mlp", lambda doc: doc.update(tau=0)),
-    ("knn", lambda doc: doc.update(labels=["a", "b"])),
-    ("mlp", lambda doc: doc.update(labels=["pulse", "pulse", "sway"])),
+def _set(*path, value):
+    def corrupt(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value(doc[path[-1]]) if callable(value) else value
+    return corrupt
+
+
+@pytest.mark.parametrize("kind, corrupt, field", [
+    ("knn", lambda doc: _drop(doc, "theta"), "theta"),
+    ("knn", lambda doc: _drop(doc, "knn", "k"), "knn.k"),
+    ("mlp", lambda doc: _drop(doc, "standardizer", "std"), "standardizer.std"),
+    ("knn", _narrow_vectors, "knn.vectors"),
+    ("knn", _narrow_standardizer, "standardizer.mean"),
+    ("mlp", _narrow_standardizer, "standardizer.mean"),
+    ("mlp", _transpose_weights, "mlp.weights.1"),
+    ("mlp", _short_bias, "mlp.biases.0"),
+    ("mlp", _missing_layer, "mlp.weights.2"),
+    ("mlp", lambda doc: doc.update(labels=["a", "b"]), "mlp.sizes"),
+    ("knn", lambda doc: doc.update(theta=float("nan")), "theta"),
+    ("mlp", lambda doc: doc.update(tau=0), "tau"),
+    ("knn", lambda doc: doc.update(labels=["a", "b"]), "knn.labels"),
+    ("mlp", lambda doc: doc.update(labels=["pulse", "pulse", "sway"]), "labels"),
+    ("mlp", _set("standardizer", "std", 3, value=float("nan")), "standardizer.std"),
+    ("knn", _set("standardizer", "std", 3, value=0.0), "standardizer.std"),
+    ("knn", _set("standardizer", "std", 0, value=-1.0), "standardizer.std"),
+    ("mlp", _set("standardizer", "mean", 0, value=float("inf")), "standardizer.mean"),
+    ("mlp", _set("mlp", "weights", 1, 0, 0, value=float("-inf")), "mlp.weights.1"),
+    ("knn", _set("knn", "vectors", 0, 0, value="1.5"), "knn.vectors"),
+    ("knn", _set("knn", "vectors", 1, 2, value=True), "knn.vectors"),
+    ("mlp", _set("mlp", "biases", 0, 0, value=False), "mlp.biases.0"),
+    ("mlp", _set("tau", value=20.9), "tau"),
+    ("knn", _set("tau", value=True), "tau"),
+    ("knn", _set("knn", "k", value=2.5), "knn.k"),
+    ("knn", _set("knn", "k", value=3.0), "knn.k"),
+    ("knn", _set("knn", "k", value=0), "knn.k"),
+    ("mlp", _set("mlp", "sizes", 1, value=float), "mlp.sizes.1"),
+    ("mlp", _set("mlp", "sizes", 2, value=True), "mlp.sizes.2"),
+    ("knn", _set("theta", value="10"), "theta"),
+    ("mlp", _set("theta", value=None), "theta"),
+    ("knn", _set("theta", value=10**400), "theta"),
+    ("mlp", _set("standardizer", "mean", 2, value=-(10**400)), "standardizer.mean"),
 ], ids=["no-theta", "no-k", "no-std", "knn-width", "knn-mean-width", "mlp-mean-width",
         "mlp-weight-shape", "mlp-bias-shape", "mlp-missing-layer", "mlp-label-count",
-        "nan-theta", "zero-tau", "knn-labels", "mlp-duplicate-labels"])
-def test_malformed_model_exit_two(workspace, tmp_path, caplog, kind, corrupt):
+        "nan-theta", "zero-tau", "knn-labels", "mlp-duplicate-labels",
+        "nan-std", "zero-std", "negative-std", "inf-mean", "inf-weight",
+        "string-vector", "bool-vector", "bool-bias", "float-tau", "bool-tau",
+        "fractional-k", "float-k", "zero-k", "float-size", "bool-size",
+        "string-theta", "null-theta", "huge-int-theta", "huge-int-mean"])
+def test_malformed_model_exit_two(workspace, tmp_path, caplog, kind, corrupt, field):
     doc = json.loads(workspace[kind].read_text())
     corrupt(doc)
     model = tmp_path / "model.json"
@@ -443,8 +474,58 @@ def test_malformed_model_exit_two(workspace, tmp_path, caplog, kind, corrupt):
     assert main(["eval", "--model", str(model),
                  "--features", str(workspace["feats"])]) == 2
     assert str(model) in caplog.text
+    assert field in caplog.text
     assert main(["predict", "--model", str(model),
                  "--frames", str(workspace["clips"] / "slide_000")]) == 2
+
+
+def test_hidden_sizes_shape_the_net(workspace, tmp_path):
+    model = tmp_path / "m.json"
+    assert main(["train", "--features", str(workspace["feats"]), "--classifier", "mlp",
+                 "--epochs", "2", "--hidden", "8,4", "--out", str(model)]) == 0
+    assert json.loads(model.read_text())["mlp"]["sizes"] == [16, 8, 4, 3]
+
+
+@pytest.mark.parametrize("hidden", ["0", "a", "8,,4", "8,-1", ""])
+def test_bad_hidden_sizes_are_usage_errors(workspace, tmp_path, hidden):
+    model = tmp_path / "m.json"
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--features", str(workspace["feats"]), "--classifier", "mlp",
+              "--epochs", "2", "--out", str(model), f"--hidden={hidden}"])
+    assert info.value.code == 1
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("flag", ["--k", "--tau", "--epochs", "--batch", "--stride"])
+@pytest.mark.parametrize("value", ["0", "-3", "x"])
+def test_non_positive_counts_are_usage_errors(workspace, tmp_path, flag, value):
+    if flag == "--stride":
+        argv = ["predict", "--model", str(workspace["knn"]),
+                "--frames", str(workspace["clips"] / "slide_000")]
+    else:
+        argv = ["train", "--features", str(workspace["feats"]), "--classifier", "knn",
+                "--out", str(tmp_path / "m.json")]
+    with pytest.raises(SystemExit) as info:
+        main(argv + [f"{flag}={value}"])
+    assert info.value.code == 1
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_feature_row_field_count_names_line(workspace, tmp_path, caplog):
+    path = _feature_rows(workspace, tmp_path, lambda rows: [rows[0], rows[1] + ",0.5"])
+    assert main(["eval", "--model", str(workspace["knn"]), "--features", path]) == 2
+    assert f"{path}: line 3: row has 19 fields, expected 18" in caplog.text
+
+
+def test_train_warns_about_unlabeled_samples(workspace, tmp_path, caplog):
+    # Blank the labels of the first two rows.
+    path = _feature_rows(workspace, tmp_path, lambda rows: [
+        row[row.index(","):] if i < 2 else row for i, row in enumerate(rows)
+    ])
+    assert main(_train_argv(path, tmp_path)) == 0
+    assert "ignoring 2 unlabeled sample(s)" in caplog.text
+    report = (tmp_path / "m.report.txt").read_text()
+    assert "samples: train=8 val=3 test=5" in report
 
 
 @pytest.mark.parametrize("lr", ["0", "-0.05", "nan", "inf", "-inf"])
@@ -541,9 +622,64 @@ def _unsplittable_train(workspace, tmp_path):
     return _train_argv(path, tmp_path), path
 
 
+def _mismatched_frames(tmp_path):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for i in range(6):
+        size = 16 if i == 5 else 32
+        write_pgm_file(frame_path(frames, i), np.zeros((size, size), dtype=np.uint8))
+    return frames, frame_path(frames, 5)
+
+
+def _mismatched_predict_frame(workspace, tmp_path):
+    frames, bad = _mismatched_frames(tmp_path)
+    return ["predict", "--model", str(workspace["knn"]), "--frames", str(frames)], bad
+
+
+def _mismatched_render_frame(workspace, tmp_path):
+    frames, bad = _mismatched_frames(tmp_path)
+    return ["render", "--frames", str(frames), "--out", str(tmp_path / "r")], bad
+
+
+def _non_utf8_csv(workspace, tmp_path):
+    path = tmp_path / "feats.csv"
+    path.write_bytes(workspace["feats"].read_bytes().replace(b"slide", b"sl\xffde", 1))
+    return str(path)
+
+
+def _non_utf8_eval_csv(workspace, tmp_path):
+    path = _non_utf8_csv(workspace, tmp_path)
+    return ["eval", "--model", str(workspace["knn"]), "--features", path], path
+
+
+def _non_utf8_train_csv(workspace, tmp_path):
+    path = _non_utf8_csv(workspace, tmp_path)
+    return _train_argv(path, tmp_path), path
+
+
+def _non_utf8_spec(workspace, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b'[{"name": "sl\xffde", "program": "translate"}]')
+    return ["synth", "--spec", str(path), "--out", str(tmp_path / "o")], path
+
+
+def _k_above_train_size(workspace, tmp_path):
+    path = str(workspace["feats"])
+    return _train_argv(path, tmp_path) + ["--k", "50"], path
+
+
+def _one_frame_predict(workspace, tmp_path):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    write_pgm_file(frame_path(frames, 0), np.zeros((16, 16), dtype=np.uint8))
+    return ["predict", "--model", str(workspace["knn"]), "--frames", str(frames)], frames
+
+
 @pytest.mark.parametrize("case", [
     _bad_predict_frame, _bad_render_frame, _truncated_extract_frame,
     _unknown_eval_label, _one_class_train, _unsplittable_train,
+    _mismatched_predict_frame, _mismatched_render_frame, _non_utf8_eval_csv,
+    _non_utf8_train_csv, _non_utf8_spec, _k_above_train_size, _one_frame_predict,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_data_error_names_file(workspace, tmp_path, caplog, case):
     argv, path = case(workspace, tmp_path)
