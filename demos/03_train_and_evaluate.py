@@ -53,16 +53,16 @@ def std(part):
 
 
 knn = TrainedModel(
-    classifier="knn", tau=TAU, theta=THETA, standardizer=standardizer,
-    knn=KnnModel(
+    tau=TAU, theta=THETA, standardizer=standardizer,
+    classifier=KnnModel(
         k=5,
         vectors=np.stack([s.features for s in std(train)]),
         labels=[s.label for s in std(train)],
     ),
 )
 mlp = TrainedModel(
-    classifier="mlp", tau=TAU, theta=THETA, standardizer=standardizer,
-    mlp=train_mlp(std(train), std(val), MlpConfig(seed=0)),
+    tau=TAU, theta=THETA, standardizer=standardizer,
+    classifier=train_mlp(std(train), std(val), MlpConfig(seed=0)),
 )
 
 for name, model in (("knn", knn), ("mlp", mlp)):

@@ -340,11 +340,12 @@ class ConfusionMatrix:
         return float(np.trace(self.counts)) / self.total
 
     def to_csv(self) -> str:
-        lines = ["true\\predicted," + ",".join(self.labels)]
-        for label, row in zip(self.labels, self.counts):
-            lines.append(label + "," + ",".join(str(int(c)) for c in row))
-        lines.append("accuracy," + serialize.format_float(self.accuracy))
-        return "\n".join(lines) + "\n"
+        return serialize.csv_text([
+            ["true\\predicted", *self.labels],
+            *([label, *(str(int(c)) for c in row)]
+              for label, row in zip(self.labels, self.counts)),
+            ["accuracy", serialize.format_float(self.accuracy)],
+        ])
 
 
 def evaluate(model, samples: list[LabeledSample]) -> tuple[ConfusionMatrix, float]:
@@ -374,34 +375,38 @@ class TrainedModel:
 
     ``tau``/``theta`` record the pipeline settings the features were extracted
     with, so sliding-window prediction can rebuild templates consistently.
-    Exactly one of ``knn``/``mlp`` is set, matching ``classifier``.
+    The type of ``classifier`` is the one record of which classifier this is;
+    the model JSON's ``"classifier"`` kind is read off it.
     """
 
-    classifier: str
     tau: int
     theta: float
     standardizer: Standardizer
-    knn: KnnModel | None = None
-    mlp: MlpModel | None = None
+    classifier: KnnModel | MlpModel
 
     @property
     def label_set(self) -> list[str]:
-        return (self.knn or self.mlp).label_set
+        return self.classifier.label_set
 
     def predict(self, raw_features: np.ndarray) -> tuple[str, float]:
         """Standardize raw features and classify; score is the vote fraction
         (KNN) or the predicted class probability (MLP)."""
-        features = self.standardizer.apply(raw_features)
-        if self.classifier == "knn":
-            label, votes = self.knn.predict(features)
-            return label, votes[label] / self.knn.k
-        label, probs = self.mlp.predict(features)
-        return label, float(probs.max())
+        label, row = self.classifier.predict(self.standardizer.apply(raw_features))
+        if isinstance(self.classifier, KnnModel):
+            return label, row[label] / self.classifier.k
+        return label, float(row.max())
 
     def to_document(self) -> dict:
-        doc = {
+        model = self.classifier
+        if isinstance(model, KnnModel):
+            kind, section = "knn", {"k": model.k, "vectors": model.vectors,
+                                    "labels": model.labels}
+        else:
+            kind, section = "mlp", {"sizes": model.sizes, "weights": model.weights,
+                                    "biases": model.biases}
+        return {
             "version": 1,
-            "classifier": self.classifier,
+            "classifier": kind,
             "tau": self.tau,
             "theta": self.theta,
             "labels": self.label_set,
@@ -409,20 +414,8 @@ class TrainedModel:
                 "mean": self.standardizer.mean,
                 "std": self.standardizer.std,
             },
+            kind: section,
         }
-        if self.classifier == "knn":
-            doc["knn"] = {
-                "k": self.knn.k,
-                "vectors": self.knn.vectors,
-                "labels": self.knn.labels,
-            }
-        else:
-            doc["mlp"] = {
-                "sizes": self.mlp.sizes,
-                "weights": self.mlp.weights,
-                "biases": self.mlp.biases,
-            }
-        return doc
 
     def to_bytes(self) -> bytes:
         return serialize.dump_bytes(self.to_document())
@@ -433,9 +426,10 @@ class TrainedModel:
 
         The feature width is ``feature_dim`` if given, else that of the
         standardizer mean; every other array must agree with it. Arrays hold
-        finite JSON numbers, ``standardizer.std`` is positive, ``tau``,
-        ``knn.k`` and the ``mlp.sizes`` are integers >= 1 and ``theta`` is a
-        finite number.
+        finite JSON numbers, ``standardizer.std`` is positive, ``labels`` and
+        ``knn.labels`` are lists of nonempty strings, ``tau``, ``knn.k`` and
+        the entries of the ``mlp.sizes`` list are integers >= 1 and ``theta``
+        is a finite number.
         """
         if _field(doc, "version") != 1:
             raise ModelFormatError(f"unsupported model version: {doc['version']}")
@@ -447,24 +441,22 @@ class TrainedModel:
         std = _array(doc, "standardizer.std", (width,))
         if not (std > 0).all():
             raise ModelFormatError("standardizer.std must be > 0")
-        standardizer = Standardizer(mean=mean, std=std)
-        labels = list(_field(doc, "labels"))
+        labels = _labels(doc, "labels")
         if len(set(labels)) != len(labels):
             raise ModelFormatError(f"labels {labels} are not unique")
-        knn = mlp = None
         if kind == "knn":
-            stored = list(_field(doc, "knn.labels"))
+            stored = _labels(doc, "knn.labels")
             if labels != sorted(set(stored)):
                 raise ModelFormatError(
                     f"labels {labels} differ from the sorted knn.labels {sorted(set(stored))}"
                 )
-            knn = KnnModel(
+            classifier = KnnModel(
                 k=_count(doc, "knn.k"),
                 vectors=_array(doc, "knn.vectors", (len(stored), width)),
                 labels=stored,
             )
         else:
-            depth = len(_field(doc, "mlp.sizes"))
+            depth = len(_list(doc, "mlp.sizes"))
             sizes = [_count(doc, f"mlp.sizes.{l}") for l in range(depth)]
             if len(sizes) < 2 or sizes[0] != width or sizes[-1] != len(labels):
                 raise ModelFormatError(
@@ -472,19 +464,17 @@ class TrainedModel:
                     f"to {len(labels)} labels"
                 )
             layers = range(len(sizes) - 1)
-            mlp = MlpModel(
+            classifier = MlpModel(
                 sizes=sizes,
                 weights=[_array(doc, f"mlp.weights.{l}", sizes[l : l + 2]) for l in layers],
                 biases=[_array(doc, f"mlp.biases.{l}", sizes[l + 1 : l + 2]) for l in layers],
                 labels=labels,
             )
         return cls(
-            classifier=kind,
             tau=_count(doc, "tau"),
             theta=require_theta(float(_array(doc, "theta", ()))),
-            standardizer=standardizer,
-            knn=knn,
-            mlp=mlp,
+            standardizer=Standardizer(mean=mean, std=std),
+            classifier=classifier,
         )
 
     def save(self, path: str | os.PathLike) -> None:
@@ -512,6 +502,22 @@ def _field(doc, path: str):
         else:
             raise ModelFormatError(f"model document lacks {path!r}")
     return value
+
+
+def _list(doc, path: str) -> list:
+    """A field that is a JSON list."""
+    value = _field(doc, path)
+    if type(value) is not list:
+        raise ModelFormatError(f"{path} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _labels(doc, path: str) -> list[str]:
+    """A list field of nonempty strings."""
+    labels = _list(doc, path)
+    if not all(type(label) is str and label for label in labels):
+        raise ModelFormatError(f"{path} must hold nonempty strings only")
+    return labels
 
 
 def _count(doc, path: str) -> int:

@@ -35,6 +35,7 @@ from .errors import (
     NonFiniteLossError,
     SingleClassError,
     SynthSpecError,
+    TooFewFramesError,
     UnknownLabelError,
 )
 from .imgio import (
@@ -100,17 +101,11 @@ def _write_out(path: str | None, text: str) -> None:
 # --- feature CSV ---
 
 def features_to_csv(samples: list[LabeledSample]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    # The minimal writer leaves a lone "\r" unquoted, and the reader splits
-    # rows on it; rows holding one are quoted in full.
-    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(FEATURE_HEADER.split(","))
-    for sample in samples:
-        row = [sample.label, sample.source,
-               *(serialize.format_float(v) for v in sample.features)]
-        (quoted if "\r" in sample.label + sample.source else writer).writerow(row)
-    return out.getvalue()
+    return serialize.csv_text([
+        FEATURE_HEADER.split(","),
+        *([sample.label, sample.source, *map(serialize.format_float, sample.features)]
+          for sample in samples),
+    ])
 
 
 def _read_text(path: str) -> str:
@@ -207,11 +202,10 @@ def cmd_train(args) -> int:
             for s in part
         ]
 
-    knn = mlp = None
     if args.classifier == "knn":
         std_train = standardized(train)
         try:
-            knn = KnnModel(
+            classifier = KnnModel(
                 k=args.k,
                 vectors=np.stack([s.features for s in std_train]),
                 labels=[s.label for s in std_train],
@@ -223,11 +217,9 @@ def cmd_train(args) -> int:
             hidden=args.hidden, lr=args.lr, epochs=args.epochs,
             batch=args.batch, seed=args.seed,
         )
-        mlp = train_mlp(standardized(train), standardized(val), cfg)
-    model = TrainedModel(
-        classifier=args.classifier, tau=args.tau, theta=args.theta,
-        standardizer=standardizer, knn=knn, mlp=mlp,
-    )
+        classifier = train_mlp(standardized(train), standardized(val), cfg)
+    model = TrainedModel(tau=args.tau, theta=args.theta, standardizer=standardizer,
+                         classifier=classifier)
     model.save(args.out)
 
     report = "".join(
@@ -315,7 +307,10 @@ def cmd_predict(args) -> int:
 
 def cmd_render(args) -> int:
     seq = load_sequence(scan_frame_dir(args.frames))
-    template = build_template(seq, theta=args.theta, tau=args.tau)
+    try:
+        template = build_template(seq, theta=args.theta, tau=args.tau)
+    except TooFewFramesError as exc:
+        raise MhiError(f"{args.frames}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     write_pgm_file(os.path.join(args.out, "mei.pgm"), template.mei * np.uint8(255))
     write_pgm_file(os.path.join(args.out, "mhi.pgm"), normalize_mhi(template.mhi))

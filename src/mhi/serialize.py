@@ -1,4 +1,5 @@
-"""Canonical JSON writer for model files and prediction output.
+"""Canonical text writers: JSON for model files and prediction output, and
+CSV for feature and confusion tables.
 
 The stdlib ``json`` module no longer allows overriding float formatting, and
 the model-file contract wants every float as a 17-significant-digit decimal
@@ -9,13 +10,18 @@ insertion-ordered keys, fixed separators, ``%.17g`` floats.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 
 import numpy as np
 
 
-def _format_float(value: float) -> str:
+def format_float(value: float) -> str:
+    """17-significant-digit decimal of a finite float, the one float format of
+    every text output; non-finite values raise ``ValueError``."""
+    value = float(value)
     if not math.isfinite(value):
         raise ValueError(f"non-finite value cannot be serialized: {value}")
     return format(value, ".17g")
@@ -32,7 +38,7 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
+        return format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, np.ndarray):
@@ -58,6 +64,14 @@ def dump_bytes(obj) -> bytes:
     return (dumps(obj) + "\n").encode("utf-8")
 
 
-def format_float(value: float) -> str:
-    """Public float formatting used wherever text output must be deterministic."""
-    return _format_float(float(value))
+def csv_text(rows) -> str:
+    """CSV text of ``rows`` (lists of strings), each ended by ``"\\n"``, that
+    ``csv.reader`` reads back field for field. A row holding a ``"\\r"`` is
+    quoted in full: the minimal writer leaves it bare, and the reader splits
+    rows on it."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        (quoted if any("\r" in field for field in row) else writer).writerow(row)
+    return out.getvalue()

@@ -1,5 +1,7 @@
 """Splitting, standardization, KNN/MLP training, evaluation, persistence."""
 
+import csv
+import io
 import json
 import math
 from collections import Counter, defaultdict
@@ -363,6 +365,28 @@ def test_confusion_csv_layout():
     assert lines[3] == "accuracy,0.875"
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    labels=st.lists(
+        st.text(alphabet=st.sampled_from(',"\n\r aé\u00df\u2028\U0001f600'), min_size=1)
+        | st.text(min_size=1),
+        min_size=1, max_size=4, unique=True,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_confusion_csv_reads_back(labels, seed):
+    # Commas, quotes, line breaks and non-ASCII text in labels must read back.
+    counts = np.random.Generator(np.random.PCG64(seed)).integers(
+        0, 9, size=(len(labels), len(labels))
+    )
+    counts[0, 0] += 1
+    matrix = ConfusionMatrix(labels=labels, counts=counts)
+    rows = list(csv.reader(io.StringIO(matrix.to_csv(), newline="")))
+    assert rows[0] == ["true\\predicted", *labels]
+    assert rows[1:-1] == [[label, *map(str, row)] for label, row in zip(labels, counts)]
+    assert rows[-1] == ["accuracy", format(matrix.accuracy, ".17g")]
+
+
 # --- persistence ---
 
 def fitted_pair(classifier, seed=67):
@@ -375,11 +399,9 @@ def fitted_pair(classifier, seed=67):
             vectors=np.stack([s.features for s in scaled]),
             labels=[s.label for s in scaled],
         )
-        model = TrainedModel("knn", 30, 10.0, std, knn=inner)
     else:
         inner = train_mlp(scaled, [], MlpConfig(hidden=(6,), epochs=15, seed=0))
-        model = TrainedModel("mlp", 30, 10.0, std, mlp=inner)
-    return model, samples
+    return TrainedModel(30, 10.0, std, inner), samples
 
 
 @pytest.mark.parametrize("classifier", ["knn", "mlp"])
@@ -403,6 +425,15 @@ def test_trained_model_document_schema():
     assert doc["labels"] == ["neg", "pos"]
     assert set(doc["standardizer"]) == {"mean", "std"}
     assert set(doc["knn"]) == {"k", "vectors", "labels"}
+    assert "mlp" not in doc
+
+    model, _ = fitted_pair("mlp")
+    doc = json.loads(model.to_bytes())
+    assert doc["classifier"] == "mlp"
+    assert doc["labels"] == ["neg", "pos"]
+    assert set(doc["mlp"]) == {"sizes", "weights", "biases"}
+    assert doc["mlp"]["sizes"] == [4, 6, 2]
+    assert "knn" not in doc
 
 
 def test_trained_model_score_semantics():

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: commands, exit codes, file formats, determinism."""
 
+import csv
+import io
 import json
 import os
 import shutil
@@ -208,6 +210,23 @@ def test_eval_confusion_csv(workspace, tmp_path):
     )
     assert total == 18
     assert 0.0 <= float(lines[-1].split(",")[1]) <= 1.0
+
+
+def test_eval_comma_label_reads_back(workspace, tmp_path):
+    samples = [
+        LabeledSample(s.features, "sl,ide" if s.label == "slide" else s.label, s.source)
+        for s in read_features_csv(str(workspace["feats"]))
+    ]
+    feats, model, out = tmp_path / "f.csv", tmp_path / "m.json", tmp_path / "c.csv"
+    feats.write_text(features_to_csv(samples), newline="")
+    assert main(["train", "--features", str(feats), "--classifier", "knn",
+                 "--out", str(model)]) == 0
+    assert main(["eval", "--model", str(model), "--features", str(feats),
+                 "--out", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO(out.read_text(), newline="")))
+    assert rows[0] == ["true\\predicted", "pulse", "sl,ide", "sway"]
+    assert [row[0] for row in rows[1:]] == ["pulse", "sl,ide", "sway", "accuracy"]
+    assert sum(int(cell) for row in rows[1:4] for cell in row[1:]) == 18
 
 
 def test_predict_single_window(workspace, tmp_path):
@@ -459,13 +478,19 @@ def _set(*path, value):
     ("mlp", _set("theta", value=None), "theta"),
     ("knn", _set("theta", value=10**400), "theta"),
     ("mlp", _set("standardizer", "mean", 2, value=-(10**400)), "standardizer.mean"),
+    ("mlp", _set("labels", value="psw"), "labels"),
+    ("mlp", _set("labels", value=[1, 2, 3]), "labels"),
+    ("mlp", _set("labels", 0, value=""), "labels"),
+    ("knn", _set("knn", "labels", 0, value=7), "knn.labels"),
+    ("mlp", _set("mlp", "sizes", value=5), "mlp.sizes"),
 ], ids=["no-theta", "no-k", "no-std", "knn-width", "knn-mean-width", "mlp-mean-width",
         "mlp-weight-shape", "mlp-bias-shape", "mlp-missing-layer", "mlp-label-count",
         "nan-theta", "zero-tau", "knn-labels", "mlp-duplicate-labels",
         "nan-std", "zero-std", "negative-std", "inf-mean", "inf-weight",
         "string-vector", "bool-vector", "bool-bias", "float-tau", "bool-tau",
         "fractional-k", "float-k", "zero-k", "float-size", "bool-size",
-        "string-theta", "null-theta", "huge-int-theta", "huge-int-mean"])
+        "string-theta", "null-theta", "huge-int-theta", "huge-int-mean",
+        "string-labels", "int-labels", "empty-label", "int-knn-label", "int-sizes"])
 def test_malformed_model_exit_two(workspace, tmp_path, caplog, kind, corrupt, field):
     doc = json.loads(workspace[kind].read_text())
     corrupt(doc)
@@ -668,11 +693,28 @@ def _k_above_train_size(workspace, tmp_path):
     return _train_argv(path, tmp_path) + ["--k", "50"], path
 
 
-def _one_frame_predict(workspace, tmp_path):
-    frames = tmp_path / "frames"
+def _one_frame(tmp_path):
+    frames = tmp_path / "single_frame_clip"
     frames.mkdir()
     write_pgm_file(frame_path(frames, 0), np.zeros((16, 16), dtype=np.uint8))
+    return frames
+
+
+def _one_frame_predict(workspace, tmp_path):
+    frames = _one_frame(tmp_path)
     return ["predict", "--model", str(workspace["knn"]), "--frames", str(frames)], frames
+
+
+def _one_frame_render(workspace, tmp_path):
+    frames = _one_frame(tmp_path)
+    return ["render", "--frames", str(frames), "--out", str(tmp_path / "r")], frames
+
+
+def _one_frame_extract(workspace, tmp_path):
+    _one_frame(tmp_path)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text('{"dir": "single_frame_clip", "start": 0, "end": 0}\n')
+    return ["extract", "--manifest", str(manifest)], "single_frame_clip"
 
 
 @pytest.mark.parametrize("case", [
@@ -680,11 +722,21 @@ def _one_frame_predict(workspace, tmp_path):
     _unknown_eval_label, _one_class_train, _unsplittable_train,
     _mismatched_predict_frame, _mismatched_render_frame, _non_utf8_eval_csv,
     _non_utf8_train_csv, _non_utf8_spec, _k_above_train_size, _one_frame_predict,
+    _one_frame_render,
 ], ids=lambda case: case.__name__.strip("_"))
 def test_data_error_names_file(workspace, tmp_path, caplog, case):
     argv, path = case(workspace, tmp_path)
     assert main(argv) == 2
     assert str(path) in caplog.text
+
+
+@pytest.mark.parametrize("case", [_one_frame_extract, _one_frame_predict, _one_frame_render],
+                         ids=lambda case: case.__name__.strip("_"))
+def test_one_frame_error_names_directory_once(workspace, tmp_path, caplog, case):
+    argv, directory = case(workspace, tmp_path)
+    assert main(argv) == 2
+    assert caplog.text.count(str(directory)) == 1
+    assert "need >= 2 frames" in caplog.text
 
 
 def _deep_json(tmp_path, name):
