@@ -32,8 +32,8 @@ from .errors import (
     StratificationError,
     UnknownLabelError,
 )
+from .imgproc import require_theta
 from .moments import LabeledSample
-from .temporal import require_theta
 
 
 def _rng(seed: int) -> np.random.Generator:

@@ -45,9 +45,10 @@ from .imgio import (
     scan_frame_dir,
     write_pgm_file,
 )
+from .imgproc import require_theta
 from .moments import FEATURE_DIM, LabeledSample, feature_vector, feature_vectors
 from .synth import generate, parse_specs
-from .temporal import build_template, normalize_mhi, require_theta, window_templates
+from .temporal import build_template, normalize_mhi, window_templates
 
 log = logging.getLogger("mhi")
 

@@ -23,6 +23,10 @@ class UnsupportedMaxvalError(MhiError):
     """PGM maxval is greater than 255 (16-bit depth is out of scope)."""
 
 
+class PixelRangeError(MhiError):
+    """A PGM pixel value is greater than the header's maxval."""
+
+
 class ManifestParseError(MhiError):
     """A manifest line is not a valid record; carries the 1-based line number."""
 

@@ -2,7 +2,8 @@
 
 A frame is a 2-D ``numpy.uint8`` array of shape ``(height, width)``; row-major
 pixel order matches the PGM payload byte-for-byte. Only binary PGM ("P5") with
-maxval <= 255 is supported, which keeps every raster bit-exact on disk.
+maxval <= 255 is supported, which keeps every raster bit-exact on disk. Pixels
+keep their stored values, and a pixel above maxval is a decode error.
 
 Manifests are UTF-8 JSON Lines: one object per line with keys ``dir`` (str),
 ``start`` (int), ``end`` (int) and optional ``label`` (str). Frame files are
@@ -25,13 +26,17 @@ from .errors import (
     ManifestParseError,
     MhiError,
     MissingFrameError,
+    PixelRangeError,
     TruncatedDataError,
     UnsupportedMaxvalError,
 )
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
-# In a bytes pattern ``\s`` is exactly ``_WHITESPACE``.
-_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*)*([^\s#]*)")
+# The four header tokens (magic, width, height, maxval), each after a run of
+# whitespace and '#' comments, which run to end of line. In a bytes pattern
+# ``\s`` is exactly ``_WHITESPACE``, so a token is empty only at the end of
+# the data.
+_HEADER = re.compile(rb"(?:\s|#[^\n\r]*)*([^\s#]*)" * 4)
 # ``str.splitlines`` also breaks at U+0085, U+2028 and U+2029, which JSON
 # allows raw inside strings.
 _LINE_BREAK = re.compile(r"\r\n|[\r\n]")
@@ -76,34 +81,26 @@ def require_frame(frame: np.ndarray, stack: bool = False) -> np.ndarray:
     return frame
 
 
-def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    # Skip whitespace and '#' comments (which run to end of line).
-    match = _TOKEN.match(data, pos)
-    if not match[1]:
-        raise MalformedHeaderError("unexpected end of header")
-    return match[1], match.end()
-
-
-def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    token, pos = _next_token(data, pos)
-    if not token.isdigit():
-        raise MalformedHeaderError(f"bad {what} field: {token!r}")
-    return int(token), pos
-
-
 def read_pgm(data: bytes) -> np.ndarray:
     """Decode a binary PGM (P5) byte stream into a uint8 frame.
 
     Raises ``MalformedHeaderError`` for a bad magic or header fields,
-    ``UnsupportedMaxvalError`` for maxval > 255, and ``TruncatedDataError``
-    when fewer than width*height pixel bytes follow the header.
+    ``UnsupportedMaxvalError`` for maxval > 255, ``TruncatedDataError``
+    when fewer than width*height pixel bytes follow the header, and
+    ``PixelRangeError`` for a pixel above maxval.
     """
-    magic, pos = _next_token(data, 0)
+    header = _HEADER.match(data)
+    magic, *fields = header.groups()
     if magic != b"P5":
-        raise MalformedHeaderError(f"bad magic: {magic!r}")
-    width, pos = _int_token(data, pos, "width")
-    height, pos = _int_token(data, pos, "height")
-    maxval, pos = _int_token(data, pos, "maxval")
+        raise MalformedHeaderError(
+            f"bad magic: {magic!r}" if magic else "unexpected end of header"
+        )
+    for token, what in zip(fields, ("width", "height", "maxval")):
+        if not token.isdigit():
+            raise MalformedHeaderError(
+                f"bad {what} field: {token!r}" if token else "unexpected end of header"
+            )
+    width, height, maxval = map(int, fields)
     if width < 1 or height < 1:
         raise MalformedHeaderError(f"bad dimensions: {width}x{height}")
     if maxval < 1:
@@ -111,15 +108,17 @@ def read_pgm(data: bytes) -> np.ndarray:
     if maxval > 255:
         raise UnsupportedMaxvalError(f"maxval {maxval} > 255")
     # Exactly one whitespace byte separates the header from the pixel data.
+    pos = header.end()
     if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
         raise MalformedHeaderError("missing whitespace after maxval")
     pos += 1
-    pixels = data[pos : pos + width * height]
-    if len(pixels) < width * height:
-        raise TruncatedDataError(
-            f"expected {width * height} pixel bytes, got {len(pixels)}"
-        )
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width).copy()
+    size = width * height
+    if len(data) - pos < size:
+        raise TruncatedDataError(f"expected {size} pixel bytes, got {len(data) - pos}")
+    frame = np.frombuffer(data, np.uint8, size, pos).reshape(height, width).copy()
+    if maxval < 255 and frame.max() > maxval:
+        raise PixelRangeError(f"pixel value {frame.max()} > maxval {maxval}")
+    return frame
 
 
 def write_pgm(frame: np.ndarray) -> bytes:
@@ -135,9 +134,15 @@ def write_pgm(frame: np.ndarray) -> bytes:
 
 
 def read_pgm_file(path: str | os.PathLike) -> np.ndarray:
-    """Decode the PGM file at ``path``; decode errors are prefixed with it."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Decode the PGM file at ``path``; decode and read errors name it."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        data = os.read(fd, os.fstat(fd).st_size)
+    except OSError as exc:
+        # os.read reports no filename, for example EISDIR for a directory.
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+    finally:
+        os.close(fd)
     try:
         return read_pgm(data)
     except MhiError as exc:

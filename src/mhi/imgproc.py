@@ -12,9 +12,23 @@ across platforms:
 Every stage works on the last two axes, so one call handles a single
 ``(H, W)`` frame or a whole ``(N, H, W)`` stack. Masks are uint8 arrays with
 values in {0, 1}.
+
+The 3x3 stages copy their input once into a contiguous ``(..., H+2, W+2)``
+buffer whose one-pixel ring holds the border rule: edge replicas for the
+smoothing, zeros for the opening. Each 3-tap pass then runs over the whole
+buffer as one flat array, combining slices offset by 1 (along a row) or by
+``W+2`` (along a column), so a handful of long numpy calls replace one short
+call per row. A pass computes garbage on the ring, where it mixes adjacent
+rows or frames, but every interior pixel only reads its own frame's pixels
+and ring.
+
+The absolute difference is an exact integer in [0, 255], so ``> theta``
+equals ``> min(floor(theta), 255)``, which ``frame_diff`` compares in uint8.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,9 +36,21 @@ from .errors import DimensionMismatchError
 from .imgio import require_frame
 
 
-def _pad_frame(frames: np.ndarray, mode: str) -> np.ndarray:
-    # Pad one pixel around each frame, never along the stack axis.
-    return np.pad(frames, [(0, 0)] * (frames.ndim - 2) + [(1, 1), (1, 1)], mode=mode)
+def require_theta(theta: float) -> float:
+    """Return ``theta`` if it is a usable difference threshold: finite, >= 0."""
+    if not 0 <= theta < math.inf:
+        raise ValueError(f"theta must be finite and >= 0, got {theta}")
+    return theta
+
+
+def _ringed(frames: np.ndarray, alloc, dtype) -> tuple[np.ndarray, np.ndarray]:
+    # A contiguous (..., H+2, W+2) copy of ``frames`` inside a ring made by
+    # ``alloc`` (np.empty: unset, np.zeros: zeros), and the same buffer as one
+    # flat array.
+    *lead, height, width = frames.shape
+    buf = alloc((*lead, height + 2, width + 2), dtype=dtype)
+    buf[..., 1:-1, 1:-1] = frames
+    return buf, buf.reshape(-1)
 
 
 def gaussian_smooth(frames: np.ndarray) -> np.ndarray:
@@ -36,11 +62,21 @@ def gaussian_smooth(frames: np.ndarray) -> np.ndarray:
     """
     frames = require_frame(frames, stack=True)
     # The largest sum is 16 * 255 + 8, which fits uint16.
-    acc = _pad_frame(frames, "edge").astype(np.uint16)
-    # Horizontal then vertical [1, 2, 1] pass; order does not matter.
-    acc = acc[..., :-2] + 2 * acc[..., 1:-1] + acc[..., 2:]
-    acc = acc[..., :-2, :] + 2 * acc[..., 1:-1, :] + acc[..., 2:, :]
-    return ((acc + 8) >> 4).astype(np.uint8)
+    buf, flat = _ringed(frames, np.empty, np.uint16)
+    buf[..., 0, 1:-1] = frames[..., 0, :]
+    buf[..., -1, 1:-1] = frames[..., -1, :]
+    buf[..., 0] = buf[..., 1]
+    buf[..., -1] = buf[..., -2]
+    # [1, 2, 1] is [1, 1] twice; along rows, then along columns. Each pair sum
+    # runs in place, flat[i] += flat[i + step], which reads only values it has
+    # not yet written, so numpy needs no temporary. The sum centred on a pixel
+    # thus lands one row and one column before it.
+    for step in (1, 1, buf.shape[-1], buf.shape[-1]):
+        np.add(flat[:-step], flat[step:], out=flat[:-step])
+    flat += 8
+    out = np.empty(frames.shape, dtype=np.uint8)
+    np.right_shift(buf[..., :-2, :-2], 4, out=out, casting="unsafe")
+    return out
 
 
 def frame_diff(prev: np.ndarray, curr: np.ndarray, theta: float) -> np.ndarray:
@@ -51,17 +87,10 @@ def frame_diff(prev: np.ndarray, curr: np.ndarray, theta: float) -> np.ndarray:
         raise DimensionMismatchError(
             f"frame shapes differ: {prev.shape} vs {curr.shape}"
         )
-    diff = np.abs(curr.astype(np.int16) - prev.astype(np.int16))
-    return (diff > theta).astype(np.uint8)
-
-
-def _square3(mask: np.ndarray, op) -> np.ndarray:
-    # 3x3 square ``op`` (np.minimum: erosion, np.maximum: dilation) as a 3-tap
-    # pass along rows, then along columns. Out-of-bounds neighbors count as 0,
-    # so border pixels are always eroded.
-    padded = _pad_frame(mask, "constant")
-    rows = op(op(padded[..., :-2], padded[..., 1:-1]), padded[..., 2:])
-    return op(op(rows[..., :-2, :], rows[..., 1:-1, :]), rows[..., 2:, :])
+    limit = min(math.floor(require_theta(theta)), 255)
+    diff = np.maximum(prev, curr)
+    diff -= np.minimum(prev, curr)
+    return (diff > np.uint8(limit)).view(np.uint8)
 
 
 def morph_open(mask: np.ndarray) -> np.ndarray:
@@ -71,4 +100,18 @@ def morph_open(mask: np.ndarray) -> np.ndarray:
     shapes intact; the result is always a pixelwise subset of the input.
     """
     mask = np.asarray(mask, dtype=np.uint8)
-    return _square3(_square3(mask, np.minimum), np.maximum)
+    # Out-of-bounds neighbours count as 0, so border pixels always erode. A
+    # minimum taken over a zero stays zero, so the ring is still all zeros
+    # when the dilation reads it. Unlike np.add, np.minimum and np.maximum
+    # leave their vector loops when the output overlaps an input, so these
+    # passes go through a second buffer rather than run in place.
+    buf, flat = _ringed(mask, np.zeros, np.uint8)
+    tmp = np.empty_like(flat)
+    for op in (np.minimum, np.maximum):
+        for step in (1, buf.shape[-1]):
+            # flat[i] = op(flat[i - step], flat[i], flat[i + step]) for every
+            # i at least ``step`` from both ends, as two pair passes.
+            n = flat.size - step
+            op(flat[:n], flat[step:], out=tmp[:n])
+            op(tmp[: n - step], tmp[step:n], out=flat[step:n])
+    return buf[..., 1:-1, 1:-1].copy()

@@ -92,21 +92,14 @@ def mhi_step(h_prev: MotionHistory, mask: np.ndarray) -> MotionHistory:
     return MotionHistory(values=values, tau=h_prev.tau)
 
 
-def require_theta(theta: float) -> float:
-    """Return ``theta`` if it is a usable difference threshold: finite, >= 0."""
-    if not 0 <= theta < math.inf:
-        raise ValueError(f"theta must be finite and >= 0, got {theta}")
-    return theta
-
-
 def motion_masks(frames: np.ndarray, theta: float) -> np.ndarray:
     """Cleaned binary masks for consecutive frame pairs.
 
     Each frame is smoothed, consecutive smoothed pairs are differenced against
     ``theta``, and each difference is opened. An ``(N, H, W)`` stack yields
-    one ``(N-1, H, W)`` mask stack.
+    one ``(N-1, H, W)`` mask stack. ``frame_diff`` rejects a ``theta`` that
+    is not finite and >= 0.
     """
-    require_theta(theta)
     frames = np.asarray(frames)
     if frames.ndim != 3:
         raise ValueError(f"expected an (N, H, W) frame stack, got shape {frames.shape}")

@@ -620,6 +620,15 @@ def _truncated_extract_frame(workspace, tmp_path):
     return ["extract", "--manifest", str(manifest), "--out", str(tmp_path / "f.csv")], bad
 
 
+def _over_maxval_extract_frame(workspace, tmp_path):
+    argv, bad = _truncated_extract_frame(workspace, tmp_path)
+    frame = np.minimum(read_pgm_file(frame_path(workspace["clips"] / "slide_000", 4)), 15)
+    frame[0, 0] = 16
+    with open(bad, "wb") as fh:
+        fh.write(b"P5\n%d %d\n15\n" % frame.shape[::-1] + frame.tobytes())
+    return argv, bad
+
+
 def _feature_rows(workspace, tmp_path, rows):
     lines = workspace["feats"].read_text().splitlines()
     csv_path = tmp_path / "feats.csv"
@@ -719,7 +728,7 @@ def _one_frame_extract(workspace, tmp_path):
 
 @pytest.mark.parametrize("case", [
     _bad_predict_frame, _bad_render_frame, _truncated_extract_frame,
-    _unknown_eval_label, _one_class_train, _unsplittable_train,
+    _over_maxval_extract_frame, _unknown_eval_label, _one_class_train, _unsplittable_train,
     _mismatched_predict_frame, _mismatched_render_frame, _non_utf8_eval_csv,
     _non_utf8_train_csv, _non_utf8_spec, _k_above_train_size, _one_frame_predict,
     _one_frame_render,

@@ -17,13 +17,13 @@ from mhi.errors import (
     ManifestParseError,
     MhiError,
     MissingFrameError,
+    PixelRangeError,
     TruncatedDataError,
     UnsupportedMaxvalError,
 )
 from mhi.imgio import (
     _WHITESPACE,
     SequenceRecord,
-    _next_token,
     frame_path,
     load_manifest,
     load_manifest_file,
@@ -63,8 +63,8 @@ def test_read_pgm_round_trip_random(frame):
 
 
 def _byte_loop_next_token(data, pos):
-    # The byte-by-byte scanner the compiled token pattern replaced; kept here
-    # as the oracle for it.
+    # The byte-by-byte header scanner that came before the compiled header
+    # pattern; kept here as the oracle for it.
     n = len(data)
     while pos < n:
         c = data[pos : pos + 1]
@@ -83,38 +83,82 @@ def _byte_loop_next_token(data, pos):
     return data[start:pos], pos
 
 
-def _tokens(scan, data):
-    # Every token up to the end of the header, then the error that ends it.
-    out, pos = [], 0
-    while True:
-        try:
-            token, pos = scan(data, pos)
-        except MalformedHeaderError as exc:
-            return out, type(exc), str(exc)
-        out.append((token, pos))
+def _byte_loop_read_pgm(data):
+    # ``read_pgm`` token by token on the byte-loop scanner, each check made
+    # as soon as its token is read.
+    def int_token(pos, what):
+        token, pos = _byte_loop_next_token(data, pos)
+        if not token.isdigit():
+            raise MalformedHeaderError(f"bad {what} field: {token!r}")
+        return int(token), pos
 
+    magic, pos = _byte_loop_next_token(data, 0)
+    if magic != b"P5":
+        raise MalformedHeaderError(f"bad magic: {magic!r}")
+    width, pos = int_token(pos, "width")
+    height, pos = int_token(pos, "height")
+    maxval, pos = int_token(pos, "maxval")
+    if width < 1 or height < 1:
+        raise MalformedHeaderError(f"bad dimensions: {width}x{height}")
+    if maxval < 1:
+        raise MalformedHeaderError(f"bad maxval: {maxval}")
+    if maxval > 255:
+        raise UnsupportedMaxvalError(f"maxval {maxval} > 255")
+    if pos >= len(data) or data[pos] not in _WHITESPACE:
+        raise MalformedHeaderError("missing whitespace after maxval")
+    pixels = data[pos + 1 : pos + 1 + width * height]
+    if len(pixels) < width * height:
+        raise TruncatedDataError(f"expected {width * height} pixel bytes, got {len(pixels)}")
+    if max(pixels) > maxval:
+        raise PixelRangeError(f"pixel value {max(pixels)} > maxval {maxval}")
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
+
+
+def _outcome(decode, data):
+    # The decoded frame, or the type and message of the error that stopped it.
+    try:
+        frame = decode(data)
+    except MhiError as exc:
+        return type(exc), str(exc)
+    return frame.dtype, frame.shape, frame.tobytes()
+
+
+_SPACES = st.lists(st.sampled_from([bytes([b]) for b in _WHITESPACE]), min_size=1, max_size=4)
+_COMMENT = st.binary(max_size=6).map(lambda b: b"#" + b.replace(b"\n", b"").replace(b"\r", b""))
 
 _HEADER_PIECES = st.one_of(
-    st.lists(st.sampled_from([bytes([b]) for b in _WHITESPACE]), min_size=1, max_size=4)
-    .map(b"".join),
-    st.builds(
-        lambda body, end: b"#" + body + end,
-        st.binary(max_size=6).map(lambda b: b.replace(b"\n", b"").replace(b"\r", b"")),
-        st.sampled_from([b"\n", b"\r", b""]),
-    ),
+    _SPACES.map(b"".join),
+    st.builds(lambda body, end: body + end, _COMMENT, st.sampled_from([b"\n", b"\r", b""])),
     st.from_regex(rb"\A[0-9]{1,4}\Z"),
     st.sampled_from([b"P5", b"P6", b"-2", b"x", b"1e3", b"\xff\x00", b"255"]),
 )
 
+# Headers with four well-formed tokens, whose prefixes and payloads reach the
+# checks after the tokens.
+_GAP = st.builds(
+    lambda spaces, comment: b"".join(spaces) + comment,
+    _SPACES, st.just(b"") | _COMMENT.map(lambda c: c + b"\n"),
+)
+_VALID_HEADER = st.builds(
+    lambda width, height, maxval, gaps, end: b"P5%s%d%s%d%s%d%s" % (
+        gaps[0], width, gaps[1], height, gaps[2], maxval, end),
+    st.integers(1, 3), st.integers(1, 3), st.sampled_from([1, 15, 254, 255, 256]),
+    st.tuples(_GAP, _GAP, _GAP), st.sampled_from([bytes([b]) for b in _WHITESPACE]),
+)
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(_HEADER_PIECES, max_size=10).map(b"".join))
-@example(b"P5 # comment\n# full line\n 3\t2 # widthxheight\n255\n")
-@example(b"P5\x0b2\x0c1\r#c\r255 #at eof")
-def test_header_tokens_match_byte_loop(header):
-    for cut in range(len(header) + 1):
-        data = header[:cut]
-        assert _tokens(_next_token, data) == _tokens(_byte_loop_next_token, data)
+
+@settings(max_examples=300, deadline=None)
+@given(
+    header=st.lists(_HEADER_PIECES, max_size=10).map(b"".join) | _VALID_HEADER,
+    payload=st.binary(max_size=12) | st.sampled_from([bytes(9), b"\x0f" * 9, b"\x10" * 9]),
+)
+@example(header=b"P5 # comment\n# full line\n 3\t2 # widthxheight\n255\n", payload=bytes(6))
+@example(header=b"P5\x0b2\x0c1\r#c\r255 #at eof", payload=b"")
+@example(header=b"P5 2 1 15\n", payload=b"\x0f\x10")
+def test_header_tokens_match_byte_loop(header, payload):
+    data = header + payload
+    for cut in range(len(data) + 1):
+        assert _outcome(read_pgm, data[:cut]) == _outcome(_byte_loop_read_pgm, data[:cut])
 
 
 def test_read_pgm_whitespace_valued_pixels():
@@ -134,6 +178,16 @@ def test_read_pgm_header_comments_and_padding():
 def test_read_pgm_small_maxval_accepted():
     frame = read_pgm(b"P5\n2 1\n15\n\x01\x02")
     np.testing.assert_array_equal(frame, [[1, 2]])
+
+
+def test_read_pgm_pixel_above_maxval(tmp_path):
+    with pytest.raises(PixelRangeError, match="pixel value 16 > maxval 15"):
+        read_pgm(b"P5\n2 1\n15\n\x0f\x10")
+    path = tmp_path / "f.pgm"
+    path.write_bytes(b"P5\n2 1\n1\n\x01\xff")
+    with pytest.raises(PixelRangeError, match="pixel value 255 > maxval 1") as info:
+        read_pgm_file(path)
+    assert str(path) in str(info.value)
 
 
 def test_read_pgm_trailing_bytes_ignored():

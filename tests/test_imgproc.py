@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -124,36 +124,81 @@ def test_open_anti_extensive_and_idempotent():
 
 # --- whole (N, H, W) stacks against the per-frame oracles ---
 
-def stacks(max_frames=4, max_side=9):
+# Views that leave a stack nonempty but not C-contiguous.
+_VIEWS = [
+    lambda a: a[::2, ::-1, ::2],
+    lambda a: a.transpose(0, 2, 1),
+    lambda a: a.transpose(2, 0, 1)[:, ::-1],
+    np.asfortranarray,
+]
+
+
+def stacks(max_frames=4, max_side=9, elements=None):
     shape = st.tuples(st.integers(1, max_frames), st.integers(1, max_side),
                       st.integers(1, max_side))
-    return shape.flatmap(lambda s: arrays(np.uint8, s))
+    base = shape.flatmap(lambda s: arrays(np.uint8, s, elements=elements))
+    return base | st.tuples(base, st.sampled_from(_VIEWS)).map(lambda bv: bv[1](bv[0]))
 
 
-@settings(max_examples=60, deadline=None)
+# Thresholds at and just off integers, on both sides of 255.
+_THETAS = (
+    st.integers(0, 300).map(float)
+    | st.builds(lambda k, d: k + d, st.integers(1, 256), st.sampled_from([-1e-9, 1e-9, 0.5]))
+    | st.sampled_from([254.99, 255.0, 255.5, 1e9])
+    | st.floats(0, 300)
+)
+
+_EDGE_STACKS = [
+    (np.arange(1, np.prod(s) + 1) * 97 % 256).astype(np.uint8).reshape(s)
+    for s in ((1, 1, 1), (1, 1, 6), (1, 6, 1), (3, 1, 1))
+]
+
+
+def _check_pure(stage, *inputs):
+    # Run ``stage``: it must leave its inputs unchanged and share no memory with them.
+    before = [np.array(a) for a in inputs]
+    got = stage(*inputs)
+    for a, b in zip(inputs, before):
+        np.testing.assert_array_equal(a, b)
+        assert not np.shares_memory(got, a)
+    return got
+
+
+@settings(max_examples=100, deadline=None)
 @given(stacks())
+@example(_EDGE_STACKS[0]).via("N = H = W = 1")
+@example(_EDGE_STACKS[1]).via("H = 1")
+@example(_EDGE_STACKS[2]).via("W = 1")
+@example(_EDGE_STACKS[3]).via("H = W = 1")
 def test_smooth_stack_matches_oracle(frames):
-    got = gaussian_smooth(frames)
+    got = _check_pure(gaussian_smooth, frames)
     assert got.shape == frames.shape and got.dtype == np.uint8
     for frame, smoothed in zip(frames, got):
         np.testing.assert_array_equal(smoothed, smooth_oracle(frame))
 
 
-@settings(max_examples=60, deadline=None)
-@given(stacks(), st.integers(0, 255))
+@settings(max_examples=100, deadline=None)
+@given(stacks(), _THETAS)
+@example(_EDGE_STACKS[3], 0.0).via("H = W = 1")
+@example(np.array([[[0, 200, 0]], [[200, 0, 199]]], np.uint8), 199 - 1e-9)
+@example(np.array([[[0, 255, 0]], [[255, 0, 254]]], np.uint8), 254.99)
+@example(np.array([[[0, 255, 0]], [[255, 0, 254]]], np.uint8), 255.0)
 def test_frame_diff_stack_matches_per_pixel(frames, theta):
-    got = frame_diff(frames[:-1], frames[1:], float(theta))
-    assert got.shape == (len(frames) - 1, *frames.shape[1:])
+    got = _check_pure(frame_diff, frames[:-1], frames[1:], theta)
+    assert got.shape == (len(frames) - 1, *frames.shape[1:]) and got.dtype == np.uint8
     for i, mask in enumerate(got):
         prev, curr = frames[i].astype(int), frames[i + 1].astype(int)
         np.testing.assert_array_equal(mask, (abs(curr - prev) > theta).astype(np.uint8))
 
 
-@settings(max_examples=60, deadline=None)
-@given(stacks().map(lambda f: f & 1))
+@settings(max_examples=100, deadline=None)
+@given(stacks(elements=st.integers(0, 1)))
+@example(_EDGE_STACKS[0] & 1).via("N = H = W = 1")
+@example(_EDGE_STACKS[1] & 1).via("H = 1")
+@example(_EDGE_STACKS[2] & 1).via("W = 1")
 def test_open_stack_matches_oracle(masks):
-    got = morph_open(masks)
-    assert got.shape == masks.shape
+    got = _check_pure(morph_open, masks)
+    assert got.shape == masks.shape and got.dtype == np.uint8
     for mask, opened in zip(masks, got):
         np.testing.assert_array_equal(opened, dilate_oracle(erode_oracle(mask)))
 
