@@ -55,18 +55,18 @@ print("\nMEI (where motion happened):")
 print(ascii_panel(template.mei, peak=1))
 
 print("\nMHI (when it happened; brighter is more recent):")
-print(ascii_panel(template.mhi.values, peak=template.mhi.tau))
+print(ascii_panel(template.mhi, peak=template.tau))
 
 # The decay law in one line: per-pixel value is tau minus frames since the
-# last activation, floored at zero.
-values = np.asarray(template.mhi.values)
-print(f"\ndistinct MHI levels: {sorted(int(v) for v in np.unique(values))}")
+# last activation, floored at zero. The template holds the MHI as a float64
+# array, with the MEI, the frame span and tau beside it.
+print(f"\ndistinct MHI levels: {sorted(int(v) for v in np.unique(template.mhi))}")
 print(f"frames spanned by the window: {template.frame_span}")
 
 # Save both as PGM and read them back; `mhi render` writes the same two files.
 with tempfile.TemporaryDirectory(prefix="mhi_demo_") as out:
     for name, image in (("mei", (template.mei * 255).astype(np.uint8)),
-                        ("mhi", normalize_mhi(template.mhi))):
+                        ("mhi", normalize_mhi(template))):
         write_pgm_file(f"{out}/{name}.pgm", image)
         assert np.array_equal(read_pgm_file(f"{out}/{name}.pgm"), image)
 print("\nmei.pgm and mhi.pgm read back unchanged")

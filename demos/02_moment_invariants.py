@@ -11,14 +11,9 @@ asymmetric blob and then perturbs the blob to show which columns move.
 
 import numpy as np
 
-from mhi import flusser_i8, hu_moments, scale_invariant_moments
+from mhi import invariants
 
 np.set_printoptions(precision=4, suppress=False)
-
-
-def eight(img):
-    ms = scale_invariant_moments(img)
-    return np.append(hu_moments(ms), flusser_i8(ms))
 
 
 # An L-shaped blob with unequal arm weights, so nothing cancels by symmetry.
@@ -27,7 +22,7 @@ blob[3:15, 5:10] = 1.0
 blob[9:18, 8:17] = 2.5
 blob[4:7, 13:16] = 0.7
 
-base = eight(blob)
+base = invariants(blob)
 
 # Same blob pasted into a bigger canvas at an arbitrary offset.
 shifted = np.zeros((33, 37))
@@ -46,10 +41,10 @@ other[7:13, 7:13] = 0.0  # hollow it out
 
 rows = [
     ("original", base),
-    ("translated", eight(shifted)),
-    ("rotated 90", eight(rotated)),
-    ("upsampled 2x", eight(scaled)),
-    ("hollow square", eight(other)),
+    ("translated", invariants(shifted)),
+    ("rotated 90", invariants(rotated)),
+    ("upsampled 2x", invariants(scaled)),
+    ("hollow square", invariants(other)),
 ]
 
 header = ["case"] + [f"h{i}" for i in range(1, 8)] + ["i8"]
@@ -60,7 +55,7 @@ for name, values in rows:
 
 # Translation and rotation reproduce the originals to rounding error; the
 # upsample moves h1 by well under a percent; the hollow square lands far away.
-drift = np.abs(eight(shifted) - base) / np.abs(base)
+drift = np.abs(invariants(shifted) - base) / np.abs(base)
 print(f"\nworst relative drift under translation: {drift.max():.2e}")
-print(f"h1 change under 2x upsample: {abs(eight(scaled)[0] - base[0]) / base[0]:.3%}")
-print(f"h1 distance to the hollow square: {abs(eight(other)[0] - base[0]) / base[0]:.1%}")
+print(f"h1 change under 2x upsample: {abs(invariants(scaled)[0] - base[0]) / base[0]:.3%}")
+print(f"h1 distance to the hollow square: {abs(invariants(other)[0] - base[0]) / base[0]:.1%}")

@@ -34,13 +34,10 @@ from .imgproc import frame_diff, gaussian_smooth, morph_open
 from .moments import (
     LabeledSample,
     MomentSet,
-    central_moment,
-    centroid,
     feature_vector,
     flusser_i8,
     hu_moments,
     invariants,
-    raw_moment,
     scale_invariant_moments,
 )
 from .synth import (
@@ -52,7 +49,6 @@ from .synth import (
     three_class_specs,
 )
 from .temporal import (
-    MotionHistory,
     TemporalTemplate,
     build_template,
     mhi_step,
@@ -71,7 +67,6 @@ __all__ = [
     "MlpConfig",
     "MlpModel",
     "MomentSet",
-    "MotionHistory",
     "SequenceRecord",
     "SplitSpec",
     "Standardizer",
@@ -79,8 +74,6 @@ __all__ = [
     "TemporalTemplate",
     "TrainedModel",
     "build_template",
-    "central_moment",
-    "centroid",
     "detect_secondary_blob",
     "evaluate",
     "feature_vector",
@@ -98,7 +91,6 @@ __all__ = [
     "motion_masks",
     "normalize_mhi",
     "parse_specs",
-    "raw_moment",
     "read_pgm",
     "read_pgm_file",
     "render_clip",

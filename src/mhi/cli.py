@@ -314,7 +314,7 @@ def cmd_render(args) -> int:
         raise MhiError(f"{args.frames}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
     write_pgm_file(os.path.join(args.out, "mei.pgm"), template.mei * np.uint8(255))
-    write_pgm_file(os.path.join(args.out, "mhi.pgm"), normalize_mhi(template.mhi))
+    write_pgm_file(os.path.join(args.out, "mhi.pgm"), normalize_mhi(template))
     return 0
 
 

@@ -100,7 +100,12 @@ def read_pgm(data: bytes) -> np.ndarray:
             raise MalformedHeaderError(
                 f"bad {what} field: {token!r}" if token else "unexpected end of header"
             )
-    width, height, maxval = map(int, fields)
+    try:
+        width, height, maxval = map(int, fields)
+    except ValueError:
+        # int() refuses more digits than sys.get_int_max_str_digits().
+        what, token = max(zip(("width", "height", "maxval"), fields), key=lambda f: len(f[1]))
+        raise MalformedHeaderError(f"{what} field too long: {len(token)} digits") from None
     if width < 1 or height < 1:
         raise MalformedHeaderError(f"bad dimensions: {width}x{height}")
     if maxval < 1:

@@ -63,36 +63,6 @@ class LabeledSample:
     source: str = ""
 
 
-def _grids(img: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    height, width = img.shape
-    x = np.arange(width, dtype=np.float64)
-    y = np.arange(height, dtype=np.float64)
-    return x, y
-
-
-def raw_moment(img: np.ndarray, i: int, j: int) -> float:
-    """M_ij = sum over pixels of x^i y^j I(x, y)."""
-    img = np.asarray(img, dtype=np.float64)
-    x, y = _grids(img)
-    return float((y**j) @ img @ (x**i))
-
-
-def centroid(img: np.ndarray) -> tuple[float, float]:
-    """Intensity centroid (M10/M00, M01/M00); raises ZeroMassError if M00 == 0."""
-    m00 = raw_moment(img, 0, 0)
-    if m00 == 0.0:
-        raise ZeroMassError("image has zero intensity mass")
-    return raw_moment(img, 1, 0) / m00, raw_moment(img, 0, 1) / m00
-
-
-def central_moment(img: np.ndarray, p: int, q: int) -> float:
-    """mu_pq = sum over pixels of (x - xbar)^p (y - ybar)^q I(x, y)."""
-    img = np.asarray(img, dtype=np.float64)
-    xbar, ybar = centroid(img)
-    x, y = _grids(img)
-    return float(((y - ybar) ** q) @ img @ ((x - xbar) ** p))
-
-
 def _powers(v: np.ndarray) -> np.ndarray:
     """``v**0 .. v**3`` stacked on a new second-to-last axis."""
     return np.stack([v**k for k in range(4)], axis=-2)
@@ -223,7 +193,7 @@ def feature_vector(template: TemporalTemplate) -> np.ndarray:
     Raises ``NoMotionError`` when the template recorded no motion at all;
     callers decide whether to skip the window or report it.
     """
-    mhi, mei = np.asarray(template.mhi.values), np.asarray(template.mei)
+    mhi, mei = np.asarray(template.mhi), np.asarray(template.mei)
     (features,) = feature_vectors(mhi[None], mei[None])
     if features is None:
         raise NoMotionError("template has no motion support")

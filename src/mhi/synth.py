@@ -26,10 +26,9 @@ from .imgio import SequenceRecord, frame_path, write_manifest_file, write_pgm_fi
 
 PROGRAMS = ("translate", "oscillate", "expand_contract")
 
-_SPEC_KEYS = {
-    "name", "program", "frames", "size", "rect", "seed", "count",
-    "dx", "dy", "axis", "period", "rate",
-}
+_STR_FIELDS = ("name", "program", "axis")
+_INT_FIELDS = ("frames", "size", "rect", "seed", "count", "dx", "dy", "period", "rate")
+_SPEC_KEYS = {*_STR_FIELDS, *_INT_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -50,8 +49,20 @@ class SynthSpec:
     rate: int = 1        # expand_contract: half-extent change per frame
 
     def __post_init__(self):
+        for field in _STR_FIELDS:
+            value = getattr(self, field)
+            if not isinstance(value, str):
+                raise SynthSpecError(f"{field} must be a string, got {value!r}")
+        for field in _INT_FIELDS:
+            value = getattr(self, field)
+            # A JSON float or bool is not an integer, as in model JSON.
+            if type(value) is not int:
+                raise SynthSpecError(f"{field} must be an integer, got {value!r}")
         if not self.name:
             raise SynthSpecError("spec needs a nonempty name")
+        if any(c and c in self.name for c in (os.sep, os.altsep, "\0")):
+            # The name becomes a directory under the output directory.
+            raise SynthSpecError(f"name must hold no path separator or NUL, got {self.name!r}")
         if self.program not in PROGRAMS:
             raise SynthSpecError(f"unknown program {self.program!r}")
         if self.frames < 2:
@@ -60,6 +71,8 @@ class SynthSpec:
             raise SynthSpecError(f"size must be >= 8, got {self.size}")
         if not 2 <= self.rect <= self.size - 4:
             raise SynthSpecError(f"rect {self.rect} does not fit size {self.size}")
+        if self.seed < 0:
+            raise SynthSpecError(f"seed must be >= 0, got {self.seed}")
         if self.count < 1:
             raise SynthSpecError(f"count must be >= 1, got {self.count}")
         if self.program == "translate" and max(abs(self.dx), abs(self.dy)) < 1:
@@ -92,7 +105,7 @@ def parse_specs(text: str) -> list[SynthSpec]:
             raise SynthSpecError(f"spec {i}: unknown keys {sorted(unknown)}")
         try:
             specs.append(SynthSpec(**obj))
-        except TypeError as exc:
+        except (TypeError, SynthSpecError) as exc:
             raise SynthSpecError(f"spec {i}: {exc}") from exc
     return specs
 

@@ -16,11 +16,14 @@ floor at zero never applies and the fold equals ``where(age < steps,
 tau - age, 0)``. One pass over the masks thus yields the MHI and MEI of every
 trailing window, whole clips and sliding windows alike.
 
-Windows come out in blocks of ``B``: ``(B, H, W)`` MHI and MEI stacks, so the
-moment and blob stages downstream run once per block, not once per window.
-``B`` follows the frame area, holding each float64 MHI stack near 1 MiB (8
-windows at 128x128, 2 at 256x256, 1 above that), so the memory they take is
-bounded by the frame size, whatever the number of windows.
+Windows come out in blocks of ``B``: a ``TemplateBlock`` holds ``(B, H, W)``
+MHI and MEI stacks, so the moment and blob stages downstream run once per
+block, not once per window. ``B`` follows the frame area, holding each
+float64 MHI stack near 1 MiB (8 windows at 128x128, 2 at 256x256, 1 above
+that), so the memory they take is bounded by the frame size, whatever the
+number of windows. Its one-window twin ``TemporalTemplate``, which
+``build_template`` returns, holds the float64 MHI array ``mhi``, the uint8
+MEI ``mei``, the window's ``frame_span`` and its ``tau``.
 """
 
 from __future__ import annotations
@@ -42,28 +45,18 @@ _BLOCK_VALUES = 2**17
 
 
 @dataclass
-class MotionHistory:
-    """Recency map ``values`` (float64, each in [0, tau]) plus its window length."""
+class TemporalTemplate:
+    """MHI + MEI pair summarizing one window: float64 MHI values, each in
+    [0, tau], the uint8 MEI, the window's absolute frame span and its tau."""
 
-    values: np.ndarray
+    mhi: np.ndarray
+    mei: np.ndarray
+    frame_span: tuple[int, int]
     tau: int
 
     def __post_init__(self):
         if self.tau < 1:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
-
-    @classmethod
-    def zeros(cls, height: int, width: int, tau: int) -> "MotionHistory":
-        return cls(values=np.zeros((height, width), dtype=np.float64), tau=tau)
-
-
-@dataclass
-class TemporalTemplate:
-    """MHI + MEI pair summarizing one window, with absolute frame span."""
-
-    mhi: MotionHistory
-    mei: np.ndarray
-    frame_span: tuple[int, int]
 
 
 @dataclass
@@ -76,20 +69,16 @@ class TemplateBlock:
     spans: list[tuple[int, int]]
 
 
-def mhi_step(h_prev: MotionHistory, mask: np.ndarray) -> MotionHistory:
-    """Advance the history by one frame of motion evidence.
+def mhi_step(values: np.ndarray, mask: np.ndarray, tau: int) -> np.ndarray:
+    """Advance MHI ``values`` by one frame of motion evidence.
 
     Pixels active in ``mask`` are set to ``tau``; all others decay by 1,
     floored at 0.
     """
-    mask = np.asarray(mask)
-    if mask.shape != h_prev.values.shape:
-        raise DimensionMismatchError(
-            f"mask shape {mask.shape} != history shape {h_prev.values.shape}"
-        )
-    decayed = np.maximum(h_prev.values - 1.0, 0.0)
-    values = np.where(mask > 0, float(h_prev.tau), decayed)
-    return MotionHistory(values=values, tau=h_prev.tau)
+    values, mask = np.asarray(values), np.asarray(mask)
+    if mask.shape != values.shape:
+        raise DimensionMismatchError(f"mask shape {mask.shape} != history shape {values.shape}")
+    return np.where(mask > 0, float(tau), np.maximum(values - 1.0, 0.0))
 
 
 def motion_masks(frames: np.ndarray, theta: float) -> np.ndarray:
@@ -156,10 +145,10 @@ def build_template(seq: FrameSequence, theta: float, tau: int) -> TemporalTempla
     if len(seq) < 2:
         raise TooFewFramesError(f"need >= 2 frames, got {len(seq)}")
     block = next(window_templates(seq, theta, tau, len(seq), [0]))
-    return TemporalTemplate(MotionHistory(block.mhi[0], tau), block.mei[0], block.spans[0])
+    return TemporalTemplate(block.mhi[0], block.mei[0], block.spans[0], tau)
 
 
-def normalize_mhi(mhi: MotionHistory) -> np.ndarray:
-    """Render a history as an 8-bit frame: round(255 * value / tau), ties up."""
-    scaled = 255.0 * mhi.values / mhi.tau
+def normalize_mhi(template: TemporalTemplate) -> np.ndarray:
+    """Render a template's MHI as an 8-bit frame: round(255 * value / tau), ties up."""
+    scaled = 255.0 * template.mhi / template.tau
     return np.floor(scaled + 0.5).astype(np.uint8)

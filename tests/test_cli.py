@@ -629,6 +629,15 @@ def _over_maxval_extract_frame(workspace, tmp_path):
     return argv, bad
 
 
+def _long_width_render_frame(workspace, tmp_path):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    for i in range(2):
+        with open(frame_path(frames, i), "wb") as fh:
+            fh.write(b"P5\n" + b"1" * 5000 + b" 1\n255\n\x00")
+    return ["render", "--frames", str(frames), "--out", str(tmp_path / "r")], frame_path(frames, 0)
+
+
 def _feature_rows(workspace, tmp_path, rows):
     lines = workspace["feats"].read_text().splitlines()
     csv_path = tmp_path / "feats.csv"
@@ -728,7 +737,8 @@ def _one_frame_extract(workspace, tmp_path):
 
 @pytest.mark.parametrize("case", [
     _bad_predict_frame, _bad_render_frame, _truncated_extract_frame,
-    _over_maxval_extract_frame, _unknown_eval_label, _one_class_train, _unsplittable_train,
+    _over_maxval_extract_frame, _long_width_render_frame, _unknown_eval_label,
+    _one_class_train, _unsplittable_train,
     _mismatched_predict_frame, _mismatched_render_frame, _non_utf8_eval_csv,
     _non_utf8_train_csv, _non_utf8_spec, _k_above_train_size, _one_frame_predict,
     _one_frame_render,
@@ -886,6 +896,18 @@ def test_synth_bad_spec_exit_two(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text('[{"name": "x", "program": "warp"}]')
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("frames", 2.5), ("size", 64.0), ("count", 2.0), ("seed", -1), ("name", 5),
+    ("name", "a/../../x"), ("name", "a\0b"), ("period", 2.5), ("dx", 1.5),
+])
+def test_synth_bad_field_names_file_and_field(tmp_path, caplog, field, value):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([{"name": "x", "program": "translate", field: value}]))
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o" / "p")]) == 2
+    assert f"{spec}: spec 0: {field} " in caplog.text
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.json"]
 
 
 def test_extract_skips_motionless_sequence(tmp_path):

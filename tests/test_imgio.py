@@ -213,6 +213,8 @@ def test_read_pgm_bad_header_fields():
         read_pgm(b"P5\n2 1\n0\n\x01\x02")
     with pytest.raises(MalformedHeaderError):
         read_pgm(b"P5\n2 1\n255")  # nothing after maxval
+    with pytest.raises(MalformedHeaderError, match="^width field too long: 5000 digits$"):
+        read_pgm(b"P5\n" + b"1" * 5000 + b" 1\n255\n\x01")
 
 
 def test_read_pgm_maxval_too_large():

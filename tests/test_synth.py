@@ -41,6 +41,17 @@ def row_center(frame):
         dict(name="x", program="oscillate", axis="z"),
         dict(name="x", program="oscillate", period=1),
         dict(name="x", program="expand_contract", rate=0),
+        dict(name="x", program="translate", frames=2.5),
+        dict(name="x", program="translate", size=64.0),
+        dict(name="x", program="translate", count=2.0),
+        dict(name="x", program="translate", count=True),
+        dict(name="x", program="translate", seed=-1),
+        dict(name=5, program="translate"),
+        dict(name="a/../../x", program="translate"),
+        dict(name="a\0b", program="translate"),
+        dict(name="x", program="translate", axis=0),
+        dict(name="x", program="oscillate", period=2.5),
+        dict(name="x", program="translate", dx=1.5),
     ],
 )
 def test_spec_validation(kwargs):

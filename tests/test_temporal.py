@@ -14,7 +14,7 @@ from mhi.imgio import FrameSequence, SequenceRecord
 from mhi.imgproc import frame_diff, gaussian_smooth, morph_open
 from mhi.temporal import (
     _BLOCK,
-    MotionHistory,
+    TemporalTemplate,
     build_template,
     mhi_step,
     motion_masks,
@@ -24,11 +24,10 @@ from mhi.temporal import (
 
 
 def fold(masks, tau):
-    h, w = masks[0].shape
-    history = MotionHistory.zeros(h, w, tau)
+    values = np.zeros(masks[0].shape)
     for mask in masks:
-        history = mhi_step(history, mask)
-    return history
+        values = mhi_step(values, mask, tau)
+    return values
 
 
 def last_activation_oracle(masks, tau):
@@ -48,26 +47,25 @@ def last_activation_oracle(masks, tau):
 
 
 def test_mhi_step_sets_and_decays():
-    history = MotionHistory(np.array([[5.0, 0.0, 1.0]]), tau=9)
-    stepped = mhi_step(history, np.array([[0, 1, 0]], dtype=np.uint8))
-    np.testing.assert_array_equal(stepped.values, [[4.0, 9.0, 0.0]])
+    stepped = mhi_step(np.array([[5.0, 0.0, 1.0]]), np.array([[0, 1, 0]], dtype=np.uint8), 9)
+    np.testing.assert_array_equal(stepped, [[4.0, 9.0, 0.0]])
 
 
 def test_mhi_step_reachable_values_only():
     rng = np.random.Generator(np.random.PCG64(7))
-    history = MotionHistory.zeros(6, 6, 12)
+    history = np.zeros((6, 6))
     for _ in range(30):
         mask = (rng.random((6, 6)) < 0.3).astype(np.uint8)
-        prev = history.values.copy()
-        history = mhi_step(history, mask)
+        prev = history.copy()
+        history = mhi_step(history, mask, 12)
         expected_decay = np.maximum(prev - 1, 0)
-        on_either = (history.values == 12) | (history.values == expected_decay)
+        on_either = (history == 12) | (history == expected_decay)
         assert on_either.all()
 
 
 def test_mhi_step_shape_check():
     with pytest.raises(DimensionMismatchError):
-        mhi_step(MotionHistory.zeros(2, 2, 5), np.zeros((3, 3), dtype=np.uint8))
+        mhi_step(np.zeros((2, 2)), np.zeros((3, 3), dtype=np.uint8), 5)
 
 
 def test_fold_matches_closed_form():
@@ -76,7 +74,7 @@ def test_fold_matches_closed_form():
         for _ in range(20):
             masks = [(rng.random((8, 8)) < 0.3).astype(np.uint8) for _ in range(20)]
             np.testing.assert_array_equal(
-                fold(masks, tau).values, last_activation_oracle(masks, tau)
+                fold(masks, tau), last_activation_oracle(masks, tau)
             )
 
 
@@ -91,7 +89,7 @@ def make_translating_sequence(frames=20, size=32, rect=8, step=1, start=0):
 def test_template_monotone_gradient_along_motion():
     seq = make_translating_sequence(frames=20, step=1)
     template = build_template(seq, theta=10.0, tau=20)
-    values = template.mhi.values
+    values = template.mhi
     cols = np.nonzero(values.any(axis=0))[0]
     rightmost = values[:, cols[-1]]
     leftmost = values[:, cols[0]]
@@ -113,7 +111,7 @@ def test_template_mei_is_mask_union():
         union = np.maximum(union, mask)
     np.testing.assert_array_equal(template.mei, union)
     # Window <= tau, so MHI and MEI share their support exactly.
-    np.testing.assert_array_equal(template.mhi.values > 0, union > 0)
+    np.testing.assert_array_equal(template.mhi > 0, union > 0)
 
 
 def test_template_trailing_window_only():
@@ -122,7 +120,7 @@ def test_template_trailing_window_only():
     template = build_template(seq, theta=10.0, tau=4)
     assert template.frame_span == (7, 11)
     full = build_template(seq, theta=10.0, tau=30)
-    assert (template.mhi.values > 0).sum() < (full.mhi.values > 0).sum()
+    assert (template.mhi > 0).sum() < (full.mhi > 0).sum()
     assert template.mei.sum() < full.mei.sum()
 
 
@@ -139,7 +137,7 @@ def test_reverse_time_same_mei_different_mhi():
     fwd = build_template(seq, theta=10.0, tau=12)
     bwd = build_template(reversed_seq, theta=10.0, tau=12)
     np.testing.assert_array_equal(fwd.mei, bwd.mei)
-    assert not np.array_equal(fwd.mhi.values, bwd.mhi.values)
+    assert not np.array_equal(fwd.mhi, bwd.mhi)
 
 
 def test_build_template_needs_two_frames():
@@ -152,22 +150,29 @@ def test_static_sequence_gives_empty_template():
     stack = np.full((5, 8, 8), 50, dtype=np.uint8)
     seq = FrameSequence(stack, SequenceRecord("c", 0, 4))
     template = build_template(seq, theta=10.0, tau=10)
-    assert not template.mhi.values.any()
+    assert not template.mhi.any()
     assert not template.mei.any()
 
 
+def template_of(mhi, tau):
+    mhi = np.asarray(mhi, dtype=np.float64)
+    return TemporalTemplate(mhi, (mhi > 0).astype(np.uint8), (0, 1), tau)
+
+
 def test_normalize_mhi_rounding():
-    history = MotionHistory(np.array([[300.0, 150.0, 0.0]]), tau=300)
-    np.testing.assert_array_equal(normalize_mhi(history), [[255, 128, 0]])
+    template = template_of([[300.0, 150.0, 0.0]], tau=300)
+    np.testing.assert_array_equal(normalize_mhi(template), [[255, 128, 0]])
 
 
 def test_normalize_mhi_all_zero():
-    assert not normalize_mhi(MotionHistory.zeros(3, 3, 7)).any()
+    assert not normalize_mhi(template_of(np.zeros((3, 3)), tau=7)).any()
 
 
 def test_tau_validation():
     with pytest.raises(ValueError):
-        MotionHistory.zeros(2, 2, 0)
+        template_of(np.zeros((2, 2)), tau=0)
+    with pytest.raises(ValueError):
+        build_template(make_translating_sequence(frames=4), theta=10.0, tau=0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,7 +221,7 @@ def window_oracle(frames, theta, tau, size, start, base):
     steps = min(size - 1, tau)
     masks = motion_masks(frames[start : start + size], theta)[-steps:]
     end = base + start + size - 1
-    return fold(masks, tau).values, np.bitwise_or.reduce(masks), (end - steps, end)
+    return fold(masks, tau), np.bitwise_or.reduce(masks), (end - steps, end)
 
 
 @st.composite
@@ -272,7 +277,7 @@ def test_build_template_is_a_one_window_block():
     seq = make_translating_sequence(frames=12, step=2)
     template = build_template(seq, theta=10.0, tau=7)
     (block,) = window_templates(seq, 10.0, 7, 12, [0])
-    assert template.mhi.tau == 7
-    np.testing.assert_array_equal(template.mhi.values, block.mhi[0])
+    assert template.tau == 7
+    np.testing.assert_array_equal(template.mhi, block.mhi[0])
     np.testing.assert_array_equal(template.mei, block.mei[0])
     assert template.frame_span == block.spans[0] == (4, 11)
