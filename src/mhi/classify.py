@@ -110,9 +110,6 @@ class Standardizer:
     def apply(self, features: np.ndarray) -> np.ndarray:
         return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
 
-    def inverse(self, features: np.ndarray) -> np.ndarray:
-        return np.asarray(features, dtype=np.float64) * self.std + self.mean
-
 
 @dataclass
 class KnnModel:

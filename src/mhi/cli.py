@@ -31,7 +31,6 @@ from .classify import (
 from .diagnostics import detect_secondary_blobs
 from .errors import (
     MhiError,
-    NoMotionError,
     NonFiniteLossError,
     SingleClassError,
     SynthSpecError,
@@ -46,9 +45,15 @@ from .imgio import (
     write_pgm_file,
 )
 from .imgproc import require_theta
-from .moments import FEATURE_DIM, LabeledSample, feature_vector, feature_vectors
+from .moments import FEATURE_DIM, LabeledSample, feature_vectors
 from .synth import generate, parse_specs
-from .temporal import build_template, normalize_mhi, window_templates
+from .temporal import (
+    build_template,
+    clip_history,
+    normalize_mhi,
+    pack_templates,
+    window_templates,
+)
 
 log = logging.getLogger("mhi")
 
@@ -141,29 +146,40 @@ def read_features_csv(path: str) -> list[LabeledSample]:
 
 def extract_samples(manifest: str, theta: float, tau: int) -> list[LabeledSample]:
     """Features for every manifest sequence; motion-free ones are skipped with
-    a warning. Pipeline errors are re-raised with the sequence directory."""
+    a warning. Pipeline errors are re-raised with the sequence directory.
+
+    The whole-clip templates of consecutive same-shape sequences are packed
+    into the blocks that ``predict`` uses, so the feature stage runs once per
+    block. A failing sequence raises only after the sequences before it are
+    done, so the warnings and the error come out in manifest order.
+    """
     try:
         records = load_manifest_file(manifest)
     except (MhiError, ValueError) as exc:
         raise MhiError(f"{manifest}: {exc}") from exc
     root = os.path.dirname(os.path.abspath(manifest))
+
+    def windows():
+        for record in records:
+            try:
+                window = clip_history(load_sequence(record, root=root), theta, tau)
+            except MhiError as exc:
+                raise MhiError(f"sequence {record.dir}: {exc}") from exc
+            yield window
+
     samples = []
-    for record in records:
-        try:
-            seq = load_sequence(record, root=root)
-            template = build_template(seq, theta=theta, tau=tau)
-            features = feature_vector(template)
-        except NoMotionError:
-            log.warning("sequence %s: no motion, skipped", record.dir)
-            continue
-        except MhiError as exc:
-            raise MhiError(f"sequence {record.dir}: {exc}") from exc
-        first, last = template.frame_span
-        samples.append(LabeledSample(
-            features=features,
-            label=record.label or "",
-            source=f"{record.dir}:{first}-{last}",
-        ))
+    clips = iter(records)
+    for block in pack_templates(windows(), tau):
+        for (first, last), features in zip(block.spans, feature_vectors(block.mhi, block.mei)):
+            record = next(clips)
+            if features is None:
+                log.warning("sequence %s: no motion, skipped", record.dir)
+                continue
+            samples.append(LabeledSample(
+                features=features,
+                label=record.label or "",
+                source=f"{record.dir}:{first}-{last}",
+            ))
     return samples
 
 

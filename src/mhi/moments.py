@@ -23,6 +23,7 @@ the last bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,14 @@ def _powers(v: np.ndarray) -> np.ndarray:
     return np.stack([v**k for k in range(4)], axis=-2)
 
 
+@functools.lru_cache(maxsize=8)
+def _coordinate_powers(n: int) -> np.ndarray:
+    """``_powers(arange(n))``, read-only: computed once per frame side."""
+    powers = _powers(np.arange(n, dtype=np.float64))
+    powers.flags.writeable = False
+    return powers
+
+
 def _moment_table(imgs: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """``ys[j] @ img @ xs[i]`` for each image and order ``(i, j)``, as ``(B, 10)``.
 
@@ -91,14 +100,13 @@ def stack_moments(imgs: np.ndarray) -> list[MomentSet | None]:
     """
     imgs = np.asarray(imgs, dtype=np.float64)
     _, height, width = imgs.shape
-    x = np.arange(width, dtype=np.float64)
-    y = np.arange(height, dtype=np.float64)
-    raw = _moment_table(imgs, _powers(x), _powers(y))
+    xs, ys = _coordinate_powers(width), _coordinate_powers(height)
+    raw = _moment_table(imgs, xs, ys)
     m00 = raw[:, 0]
     mass = np.where(m00 != 0.0, m00, 1.0)  # a zero-mass image is dropped below
     xbar = raw[:, MOMENT_ORDERS.index((1, 0))] / mass
     ybar = raw[:, MOMENT_ORDERS.index((0, 1))] / mass
-    mu = _moment_table(imgs, _powers(x - xbar[:, None]), _powers(y - ybar[:, None]))
+    mu = _moment_table(imgs, _powers(xs[1] - xbar[:, None]), _powers(ys[1] - ybar[:, None]))
 
     sets = []
     # Python floats from here on, so nu takes Python's scalar ``**``.

@@ -30,10 +30,17 @@ _STR_FIELDS = ("name", "program", "axis")
 _INT_FIELDS = ("frames", "size", "rect", "seed", "count", "dx", "dy", "period", "rate")
 _SPEC_KEYS = {*_STR_FIELDS, *_INT_FIELDS}
 
+#: Most pixels one clip may hold, ``frames * size**2``: a 2 GiB uint8 array.
+PIXEL_BUDGET = 2**31
+
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """One synthetic class: motion program, geometry, seed, replicate count."""
+    """One synthetic class: motion program, geometry, seed, replicate count.
+
+    Each clip is rendered whole in memory, so ``frames * size**2`` may not
+    exceed ``PIXEL_BUDGET``.
+    """
 
     name: str
     program: str
@@ -69,6 +76,9 @@ class SynthSpec:
             raise SynthSpecError(f"frames must be >= 2, got {self.frames}")
         if self.size < 8:
             raise SynthSpecError(f"size must be >= 8, got {self.size}")
+        if self.frames * self.size**2 > PIXEL_BUDGET:
+            raise SynthSpecError(f"frames * size**2 must be <= 2**31 pixels per clip, "
+                                 f"got {self.frames} * {self.size}**2")
         if not 2 <= self.rect <= self.size - 4:
             raise SynthSpecError(f"rect {self.rect} does not fit size {self.size}")
         if self.seed < 0:
@@ -211,6 +221,9 @@ def _stamp(frame: np.ndarray, x: int, y: int, w: int, h: int, rng: np.random.Gen
 
 def generate(specs: list[SynthSpec], out_dir: str | os.PathLike) -> list[SequenceRecord]:
     """Render every spec replicate under ``out_dir`` and write manifest.jsonl.
+
+    Every spec's pixel budget was checked when the spec was built, so no
+    clip can be too large to render once a directory has been made.
 
     Each replicate lands in ``<name>_<NNN>/`` with frames ``000000.pgm`` on;
     manifest paths are relative to the manifest file. Returns the records in

@@ -16,14 +16,19 @@ floor at zero never applies and the fold equals ``where(age < steps,
 tau - age, 0)``. One pass over the masks thus yields the MHI and MEI of every
 trailing window, whole clips and sliding windows alike.
 
-Windows come out in blocks of ``B``: a ``TemplateBlock`` holds ``(B, H, W)``
-MHI and MEI stacks, so the moment and blob stages downstream run once per
-block, not once per window. ``B`` follows the frame area, holding each
-float64 MHI stack near 1 MiB (8 windows at 128x128, 2 at 256x256, 1 above
-that), so the memory they take is bounded by the frame size, whatever the
-number of windows. Its one-window twin ``TemporalTemplate``, which
-``build_template`` returns, holds the float64 MHI array ``mhi``, the uint8
-MEI ``mei``, the window's ``frame_span`` and its ``tau``.
+The fold and the templates are two steps. ``fold_history`` runs over one
+sequence and yields a history window, each pixel's last-active step, at each
+window's end. ``pack_templates`` turns history windows into templates in
+blocks of ``B``: a ``TemplateBlock`` holds ``(B, H, W)`` MHI and MEI stacks,
+so the moment and blob stages downstream run once per block, not once per
+window. The windows of one block may come from one video, as ``predict``'s
+sliding windows do, or from many clips of one frame shape, as the whole-clip
+templates of ``extract`` do. ``B`` is at most 8 and holds each float64 MHI
+stack to at most 1 MiB (8 windows up to 128x128, 2 at 256x256, 1 above
+362x362), so the memory the blocks take is bounded by the frame size,
+whatever the number of windows. Its one-window twin ``TemporalTemplate``,
+which ``build_template`` returns, holds the float64 MHI array ``mhi``, the
+uint8 MEI ``mei``, the window's ``frame_span`` and its ``tau``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ from .imgproc import frame_diff, gaussian_smooth, morph_open
 # Frames per motion_masks call; consecutive blocks share one frame.
 _BLOCK = 32
 
-# float64 values per (B, H, W) window stack: 1 MiB.
+# Windows per TemplateBlock, and float64 values per (B, H, W) MHI stack (1 MiB).
+_BLOCK_WINDOWS = 8
 _BLOCK_VALUES = 2**17
 
 
@@ -61,8 +67,9 @@ class TemporalTemplate:
 
 @dataclass
 class TemplateBlock:
-    """Templates of B consecutive windows: ``(B, H, W)`` float64 MHI values and
-    uint8 MEI stacks, with each window's absolute frame span."""
+    """Templates of B windows, from one video or from consecutive clips:
+    ``(B, H, W)`` float64 MHI values and uint8 MEI stacks, with each window's
+    absolute frame span."""
 
     mhi: np.ndarray
     mei: np.ndarray
@@ -96,41 +103,100 @@ def motion_masks(frames: np.ndarray, theta: float) -> np.ndarray:
     return morph_open(frame_diff(smoothed[:-1], smoothed[1:], theta))
 
 
-def window_templates(seq: FrameSequence, theta: float, tau: int, size: int, starts):
-    """Yield the templates of the ``size``-frame windows of ``seq`` at ``starts``
-    as ``TemplateBlock``s of at most ``max(1, 2**17 // (H * W))`` windows.
+def fold_history(seq: FrameSequence, theta: float, tau: int, size: int, starts):
+    """Fold the masks of ``seq`` into each pixel's last-active step, yielding
+    one history window ``(last, t, steps, span)`` per ``size``-frame window
+    at ``starts``.
 
     ``starts`` is a sequence of ascending window starts, and every window lies
-    inside ``seq``. Masks are computed once, in blocks of ``_BLOCK`` frames
-    that overlap by one frame, so neither they nor the window blocks grow with
-    the sequence. Each template uses the window's trailing
-    ``min(size - 1, tau)`` mask steps, as ``build_template`` does.
+    inside ``seq``. ``last`` is the fold's int32 buffer of last-active mask
+    steps, ``t`` the window's final mask step, ``steps = min(size - 1, tau)``
+    the trailing mask steps its template uses (as ``build_template`` does),
+    and ``span`` its absolute frame span. ``last`` is updated in place, so a
+    window must be read before the next one is drawn. Masks are computed
+    once, in blocks of ``_BLOCK`` frames that overlap by one frame, so they
+    do not grow with the sequence.
     """
     steps = min(size - 1, tau)
-    shape = seq.frames.shape[1:]
-    per_block = max(1, _BLOCK_VALUES // max(1, math.prod(shape)))
     masks = (mask for lo in range(0, len(seq) - 1, _BLOCK - 1)
              for mask in motion_masks(seq.frames[lo : lo + _BLOCK], theta))
-    last = np.full(shape, -size)  # never moved: age > steps
-    ages = np.empty((min(per_block, len(starts)), *shape), dtype=last.dtype)
-    spans = []
+    last = np.full(seq.frames.shape[1:], -size, dtype=np.int32)  # never moved: age > steps
     t = -1
     for start in starts:
         while t < start + size - 2:
             t += 1
             last[next(masks) > 0] = t
-        np.subtract(t, last, out=ages[len(spans)])
-        spans.append((seq.record.start + t + 1 - steps, seq.record.start + t + 1))
-        if len(spans) == per_block:
-            yield _template_block(ages, steps, tau, spans)
+        yield last, t, steps, (seq.record.start + t + 1 - steps, seq.record.start + t + 1)
+
+
+def clip_history(seq: FrameSequence, theta: float, tau: int):
+    """The one history window of a whole clip: its trailing ``min(len-1, tau)``
+    mask steps, as ``fold_history`` yields it."""
+    if len(seq) < 2:
+        raise TooFewFramesError(f"need >= 2 frames, got {len(seq)}")
+    return next(fold_history(seq, theta, tau, len(seq), [0]))
+
+
+def block_size(shape: tuple[int, ...]) -> int:
+    """Windows per ``TemplateBlock`` of ``shape`` frames: at most
+    ``_BLOCK_WINDOWS``, and at most ``_BLOCK_VALUES`` float64 MHI values."""
+    return max(1, min(_BLOCK_WINDOWS, _BLOCK_VALUES // max(1, math.prod(shape))))
+
+
+def pack_templates(windows, tau: int):
+    """Yield the templates of history ``windows`` as ``TemplateBlock``s.
+
+    ``windows`` yields ``(last, t, steps, span)`` as ``fold_history`` does,
+    from one video or from many clips. Consecutive windows of one frame shape
+    share a block of at most ``block_size(shape)`` windows; a window of
+    another shape starts a new block. If drawing a window raises, the windows
+    drawn before it still come out in a block before the error propagates.
+    """
+    windows = iter(windows)
+    ages = steps = None
+    spans = []
+
+    def block():
+        return _template_block(ages[: len(spans)], steps[: len(spans)], tau, spans)
+
+    while True:
+        try:
+            window = next(windows, None)
+        except Exception:
+            if spans:
+                yield block()
+            raise
+        if window is None:
+            break
+        last, t, window_steps, span = window
+        if spans and (len(spans) == len(ages) or last.shape != ages.shape[1:]):
+            yield block()
             spans = []
+        if ages is None or last.shape != ages.shape[1:]:
+            ages = np.empty((block_size(last.shape), *last.shape), dtype=np.int32)
+            steps = np.empty((len(ages), 1, 1), dtype=np.int32)
+        np.subtract(t, last, out=ages[len(spans)])
+        steps[len(spans)] = window_steps
+        spans.append(span)
     if spans:
-        yield _template_block(ages[: len(spans)], steps, tau, spans)
+        yield block()
 
 
-def _template_block(ages: np.ndarray, steps: int, tau: int, spans) -> TemplateBlock:
+def window_templates(seq: FrameSequence, theta: float, tau: int, size: int, starts):
+    """Yield the templates of the ``size``-frame windows of ``seq`` at ``starts``
+    as ``TemplateBlock``s of at most ``block_size`` windows; see
+    ``fold_history`` for ``starts``."""
+    return pack_templates(fold_history(seq, theta, tau, size, starts), tau)
+
+
+def _template_block(ages: np.ndarray, steps: np.ndarray, tau: int, spans) -> TemplateBlock:
     active = ages < steps
-    return TemplateBlock(np.where(active, tau - ages, 0.0), active.astype(np.uint8), spans)
+    mhi = np.subtract(tau, ages, dtype=np.float64)
+    # An idle pixel's tau - age may be negative, and times 0 gives -0.0;
+    # adding +0.0 turns that into 0.0 and leaves every other value as it is.
+    mhi *= active
+    mhi += 0.0
+    return TemplateBlock(mhi, active.view(np.uint8), spans)
 
 
 def build_template(seq: FrameSequence, theta: float, tau: int) -> TemporalTemplate:
@@ -139,12 +205,10 @@ def build_template(seq: FrameSequence, theta: float, tau: int) -> TemporalTempla
     Only the trailing ``min(len-1, tau)`` mask steps feed the template, so a
     sequence longer than the window contributes just its most recent motion.
     The MEI is the pixelwise OR of those same masks, which makes its support
-    exactly the set of pixels the MHI ever saw active. The template is the one
-    window of a one-window ``window_templates`` block.
+    exactly the set of pixels the MHI ever saw active. The template is the
+    one-clip case of ``pack_templates``.
     """
-    if len(seq) < 2:
-        raise TooFewFramesError(f"need >= 2 frames, got {len(seq)}")
-    block = next(window_templates(seq, theta, tau, len(seq), [0]))
+    block = next(pack_templates([clip_history(seq, theta, tau)], tau))
     return TemporalTemplate(block.mhi[0], block.mei[0], block.spans[0], tau)
 
 

@@ -1,10 +1,12 @@
 """Block-at-a-time features and blob diagnostics equal their per-window oracles.
 
-``predict`` computes the moments and blob labels of B windows at once. These
-tests hold every window of every block to oracles that see one window alone:
-the literal ``yc[q] @ img @ xc[p]`` moment formulas and a pure-Python flood
-fill. The kernel test reruns the comparison in child processes under other
-BLAS and SIMD kernels.
+``predict`` computes the moments and blob labels of B windows at once, and
+``extract`` packs the whole-clip templates of B clips into the same blocks.
+These tests hold every window of every block to oracles that see one window
+alone: the literal ``yc[q] @ img @ xc[p]`` moment formulas and a pure-Python
+flood fill, and every ``extract`` row to ``feature_vector(build_template(seq))``
+of its clip alone. The kernel test reruns the comparisons in child processes
+under other BLAS and SIMD kernels.
 """
 
 import hashlib
@@ -13,6 +15,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -22,18 +25,27 @@ from hypothesis import strategies as st
 
 import mhi
 from mhi import temporal
+from mhi.cli import extract_samples
 from mhi.diagnostics import detect_secondary_blobs
-from mhi.imgio import FrameSequence, SequenceRecord
+from mhi.errors import NoMotionError
+from mhi.imgio import (
+    FrameSequence,
+    SequenceRecord,
+    frame_path,
+    write_manifest_file,
+    write_pgm_file,
+)
 from mhi.moments import (
     MOMENT_ORDERS,
     MomentSet,
+    feature_vector,
     feature_vectors,
     flusser_i8,
     hu_moments,
     signed_log,
     stack_moments,
 )
-from mhi.temporal import _BLOCK, motion_masks, window_templates
+from mhi.temporal import _BLOCK, build_template, motion_masks, window_templates
 from test_diagnostics import _flood_fill_diagnostic
 from test_temporal import blocky_frames
 
@@ -86,7 +98,8 @@ def video_with_still(rng, n, h, w, still_from, still_len):
 
 def window_blocks(frames, size, tau, starts, per_block):
     seq = FrameSequence(frames, SequenceRecord("clip", 0, len(frames) - 1))
-    with mock.patch.object(temporal, "_BLOCK_VALUES", per_block * frames[0].size):
+    with mock.patch.multiple(temporal, _BLOCK_WINDOWS=per_block,
+                             _BLOCK_VALUES=per_block * frames[0].size):
         return list(window_templates(seq, THETA, tau, size, starts))
 
 
@@ -167,20 +180,112 @@ def test_stack_features_match_literal_formulas_on_real_images(stack):
         assert (ms is None) == (literal_invariants(img) is None)
 
 
+# --- extract: whole-clip templates packed into blocks ---
+
+def clip_frames(seed, clips):
+    """Frames of each ``(shape, length, still)`` clip: blocky random frames of
+    ``3h x 3w`` px, all equal to the first when ``still``."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    out = []
+    for (h, w), length, still in clips:
+        frames = blocky_frames(rng, length, h, w)
+        if still:
+            frames[:] = frames[0]
+        out.append(frames)
+    return out
+
+
+def clip_records(clips):
+    """One labelled record per clip, its first frame index varying with its position."""
+    return [SequenceRecord(f"clip{i:02d}", i % 3, i % 3 + len(frames) - 1, label=f"c{i % 4}")
+            for i, frames in enumerate(clips)]
+
+
+def extract_rows(directory, clips, tau):
+    """``(label, source, feature bytes)`` of each ``extract_samples`` row on the
+    clips, written as PGM directories with a manifest."""
+    records = clip_records(clips)
+    for record, frames in zip(records, clips):
+        os.mkdir(os.path.join(directory, record.dir))
+        for index, frame in zip(range(record.start, record.end + 1), frames):
+            write_pgm_file(frame_path(os.path.join(directory, record.dir), index), frame)
+    manifest = os.path.join(directory, "manifest.jsonl")
+    write_manifest_file(manifest, records)
+    return [(s.label, s.source, s.features.tobytes())
+            for s in extract_samples(manifest, THETA, tau)]
+
+
+def per_clip_rows(clips, tau):
+    """The per-clip oracle: ``feature_vector(build_template(seq))`` for each clip."""
+    rows = []
+    for record, frames in zip(clip_records(clips), clips):
+        template = build_template(FrameSequence(frames, record), THETA, tau)
+        try:
+            features = feature_vector(template)
+        except NoMotionError:
+            continue
+        first, last = template.frame_span
+        rows.append((record.label, f"{record.dir}:{first}-{last}", features.tobytes()))
+    return rows
+
+
+@st.composite
+def clip_cases(draw):
+    """Clips of up to two shapes and of lengths 2 to ``tau + 4``, some of them
+    motion-free, and up to 20 in all: more than one block of 8 holds."""
+    tau = draw(st.integers(1, 6))
+    shapes = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1,
+                           max_size=2))
+    clips = draw(st.lists(
+        st.tuples(st.sampled_from(shapes), st.integers(2, tau + 4), st.booleans()),
+        min_size=1, max_size=20,
+    ))
+    return tau, clips, draw(st.integers(0, 2**32 - 1))
+
+
+# One shape: blocks of 8 and 3, motion-free clips in the first and last slot
+# of each; lengths 2 and past tau + 1.
+@example((4, [((2, 2), n, i in (0, 7, 8, 10))
+              for i, n in enumerate([2, 9, 3, 6, 2, 8, 5, 2, 7, 2, 9])], 5))
+# Shape runs 2, 9 and 2 long: the second run's blocks start motion-free at
+# its first and ninth clip and end motion-free at its eighth.
+@example((3, [(shape, n, still) for shape, n, still in
+              [((1, 2), 2, True), ((1, 2), 6, False)]
+              + [((3, 1), 2 + i % 5, i in (0, 7, 8)) for i in range(9)]
+              + [((1, 2), 7, False), ((1, 2), 2, True)]], 6))
+@settings(max_examples=25, deadline=None)
+@given(clip_cases())
+def test_extract_rows_match_per_clip_oracle(case):
+    tau, specs, seed = case
+    clips = clip_frames(seed, specs)
+    with tempfile.TemporaryDirectory() as directory:
+        assert extract_rows(directory, clips, tau) == per_clip_rows(clips, tau)
+
+
 # --- the same check under other BLAS and SIMD kernels ---
 
 def kernel_probe() -> dict:
-    """Digests of every stage of a fixed block run, and the oracle mismatches.
+    """Digests of every stage of fixed block runs, and the oracle mismatches.
 
-    Masks, MHI/MEI stacks, blob diagnostics and the raw moments of the
-    integer MHIs and MEIs are exact whatever the kernel: each raw-moment
-    partial sum is an integer below 2**53. Features are not, so for them only
-    the block-versus-oracle comparison is returned.
+    The runs are sliding windows over one video and, as ``extract`` packs
+    them, the whole-clip templates of 11 clips in blocks of 8 and 3. Masks,
+    MHI/MEI stacks, blob diagnostics and the raw moments of the integer MHIs
+    and MEIs are exact whatever the kernel: each raw-moment partial sum is an
+    integer below 2**53. Features are not, so for them only the comparisons
+    with the oracles are returned: block against literal formulas, and each
+    ``extract`` row against its per-clip row.
     """
     rng = np.random.Generator(np.random.PCG64(11))
     frames = video_with_still(rng, 2 * _BLOCK + 15, 10, 12, 30, 20)
     starts = list(range(len(frames) - 14 + 1))
     blocks = window_blocks(frames, 14, 12, starts, 5)
+    clips = clip_frames(12, [((4, 4), length, i in (0, 7, 8, 10)) for i, length in
+                             enumerate([5, 2, 9, 16, 3, 10, 7, 2, 15, 4, 20])])
+    clip_blocks = list(temporal.pack_templates(
+        [temporal.clip_history(FrameSequence(f, r), THETA, 12)
+         for f, r in zip(clips, clip_records(clips))], 12))
+    with tempfile.TemporaryDirectory() as directory:
+        rows = extract_rows(directory, clips, 12)
 
     def digest(arrays):
         hasher = hashlib.sha256()
@@ -195,12 +300,18 @@ def kernel_probe() -> dict:
     blobs = [[d.component_count, d.warning] for b in blocks for d in detect_secondary_blobs(b.mei)]
     return {
         "mismatches": len(block_mismatches(blocks)),
+        "clip_mismatches": len(block_mismatches(clip_blocks)) + (rows != per_clip_rows(clips, 12)),
         "masks": digest([motion_masks(frames, THETA)]),
         "mhi": digest(b.mhi for b in blocks),
         "mei": digest(b.mei for b in blocks),
         "blobs": hashlib.sha256(json.dumps(blobs).encode()).hexdigest(),
         "raw_mhi": digest(m for b in blocks for m in raw_moments(b.mhi)),
         "raw_mei": digest(m for b in blocks for m in raw_moments(b.mei)),
+        "clip_blocks": [len(b.spans) for b in clip_blocks],
+        "clip_mhi": digest(b.mhi for b in clip_blocks),
+        "clip_mei": digest(b.mei for b in clip_blocks),
+        "clip_raw_mhi": digest(m for b in clip_blocks for m in raw_moments(b.mhi)),
+        "clip_raw_mei": digest(m for b in clip_blocks for m in raw_moments(b.mei)),
     }
 
 
@@ -228,6 +339,8 @@ def run_probe(overrides: dict) -> dict:
                     reason="the kernel names are x86 OpenBLAS and numpy dispatch targets")
 def test_blocks_and_exact_stages_hold_under_other_kernels():
     results = {name: run_probe(overrides) for name, overrides in KERNELS.items()}
-    assert {name: r["mismatches"] for name, r in results.items()} == dict.fromkeys(KERNELS, 0)
+    for key in ("mismatches", "clip_mismatches"):
+        assert {name: r[key] for name, r in results.items()} == dict.fromkeys(KERNELS, 0), key
+    assert results["default"]["clip_blocks"] == [8, 3]
     for name, result in results.items():
         assert result == results["default"], name

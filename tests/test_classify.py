@@ -106,13 +106,6 @@ def test_standardizer_zero_mean_unit_std():
     np.testing.assert_allclose(matrix.std(axis=0), 1.0, rtol=1e-12)
 
 
-def test_standardizer_inverse_round_trip():
-    samples = make_samples({"a": 10}, dim=5, seed=2)
-    std = Standardizer.fit(samples)
-    vector = samples[3].features
-    np.testing.assert_allclose(std.inverse(std.apply(vector)), vector, rtol=1e-12)
-
-
 def test_standardizer_constant_feature():
     samples = [LabeledSample(np.array([7.0, i * 1.0]), "a") for i in range(6)]
     std = Standardizer.fit(samples)

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -908,6 +910,61 @@ def test_synth_bad_field_names_file_and_field(tmp_path, caplog, field, value):
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o" / "p")]) == 2
     assert f"{spec}: spec 0: {field} " in caplog.text
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.json"]
+
+
+@pytest.mark.parametrize("field, value", [("frames", 10**30), ("size", 2**16)])
+def test_synth_over_pixel_budget_names_spec_and_writes_nothing(tmp_path, caplog, field, value):
+    spec = tmp_path / "spec.json"
+    small = {"name": "a", "program": "translate", "frames": 3, "size": 16, "rect": 4}
+    spec.write_text(json.dumps([small, {"name": "b", "program": "translate", field: value}]))
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert f"{spec}: spec 1: frames * size**2 must be <= 2**31 pixels per clip" in caplog.text
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.json"]
+
+
+def _drop_frame_three(clip):
+    os.remove(frame_path(clip, 3))
+    return f"sequence broken: missing frame 3 ({frame_path(clip, 3)})"
+
+
+def _keep_one_frame(clip):
+    for i in range(1, 5):
+        os.remove(frame_path(clip, i))
+    return "sequence broken: need >= 2 frames, got 1"
+
+
+@pytest.mark.parametrize("break_clip", [_drop_frame_three, _keep_one_frame],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_extract_log_keeps_manifest_order_when_a_later_sequence_fails(tmp_path, break_clip):
+    # Five same-shape clips share one block; the fourth fails after a
+    # motion-free clip before it and one between.
+    rng = np.random.default_rng(4)
+    names = ["still_a", "moving", "still_b", "broken", "after"]
+    for name in names:
+        (tmp_path / name).mkdir()
+        for i in range(5):
+            frame = rng.integers(0, 256, (12, 12), dtype=np.uint8)
+            write_pgm_file(frame_path(tmp_path / name, i), frame if "still" not in name
+                           else np.full((12, 12), 40, dtype=np.uint8))
+    end = 0 if break_clip is _keep_one_frame else 4
+    message = break_clip(tmp_path / "broken")
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(
+        json.dumps({"dir": name, "start": 0, "end": end if name == "broken" else 4}) + "\n"
+        for name in names
+    ))
+    out = tmp_path / "f.csv"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(temporal.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "mhi.cli", "extract", "--manifest", str(manifest),
+         "--out", str(out)], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert lines[:2] == ["WARNING sequence still_a: no motion, skipped",
+                         "WARNING sequence still_b: no motion, skipped"]
+    assert lines[2:] == [f"ERROR {message}"]
+    assert not out.exists()
 
 
 def test_extract_skips_motionless_sequence(tmp_path):

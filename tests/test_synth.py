@@ -6,6 +6,7 @@ import pytest
 from mhi.errors import SynthSpecError
 from mhi.imgio import load_manifest_file, load_sequence, read_pgm_file
 from mhi.synth import (
+    PIXEL_BUDGET,
     SynthSpec,
     generate,
     parse_specs,
@@ -52,11 +53,20 @@ def row_center(frame):
         dict(name="x", program="translate", axis=0),
         dict(name="x", program="oscillate", period=2.5),
         dict(name="x", program="translate", dx=1.5),
+        dict(name="x", program="translate", frames=10**30),
+        dict(name="x", program="translate", size=2**16),
+        dict(name="x", program="translate", frames=2**31 // 64**2 + 1),
     ],
 )
 def test_spec_validation(kwargs):
     with pytest.raises(SynthSpecError):
         SynthSpec(**kwargs)
+
+
+def test_pixel_budget_bound_is_inclusive():
+    # Built only, never rendered: the clip would take 2 GiB.
+    spec = SynthSpec(name="x", program="translate", frames=2**31 // 64**2)
+    assert spec.frames * spec.size**2 == PIXEL_BUDGET
 
 
 def test_parse_specs_round_trip():

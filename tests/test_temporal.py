@@ -255,7 +255,7 @@ def test_window_templates_match_fold_oracle(case):
     with mock.patch.object(temporal, "_BLOCK_VALUES", values):
         blocks = list(window_templates(seq, 10.0, tau, size, starts))
     # Every block but the last holds B windows, B following the frame area.
-    full = max(1, values // frames[0].size)
+    full = max(1, min(temporal._BLOCK_WINDOWS, values // frames[0].size))
     assert [len(b.spans) for b in blocks] == [
         min(full, len(starts) - lo) for lo in range(0, len(starts), full)
     ]
@@ -271,6 +271,14 @@ def test_window_templates_match_fold_oracle(case):
         np.testing.assert_array_equal(got_mhi, mhi)
         np.testing.assert_array_equal(got_mei, mei)
         assert got_span == span
+
+
+@pytest.mark.parametrize("shape, windows", [
+    ((1, 1), 8), ((64, 64), 8), ((128, 128), 8), ((128, 129), 7), ((256, 256), 2),
+    ((363, 363), 1), ((4000, 4000), 1),
+])
+def test_block_size_caps_windows_and_values(shape, windows):
+    assert temporal.block_size(shape) == windows
 
 
 def test_build_template_is_a_one_window_block():
