@@ -7,6 +7,11 @@ seed reproduces models bit for bit on one CPU and BLAS kernel. Across kernels
 (another OpenBLAS core type, or numpy's SIMD dispatch at another level) the
 float results, and so the model bytes, can differ in the last bits.
 
+MLP training holds every weight and bias as a view into one flat float64
+buffer and the gradients in a second buffer of the same layout, so an SGD
+step updates all parameters with two numpy calls. Each parameter still sees
+the same multiply and subtract, so the trained bits do not depend on it.
+
 Trained models persist as a single JSON document (see ``TrainedModel``) with
 floats written as 17-significant-digit decimals, which round-trip doubles
 exactly.
@@ -26,6 +31,7 @@ from . import serialize
 from .errors import (
     EmptySplitError,
     EmptyTrainingError,
+    FeatureOverflowError,
     ModelFormatError,
     NonFiniteLossError,
     SingleClassError,
@@ -90,7 +96,12 @@ def split_dataset(
 
 @dataclass
 class Standardizer:
-    """Per-feature affine map to zero mean / unit variance, fit on train only."""
+    """Per-feature affine map to zero mean / unit variance, fit on train only.
+
+    Features are named ``f0``, ``f1``, ... as in the feature CSV header.
+    ``fit`` and ``check`` raise ``FeatureOverflowError`` naming the feature
+    whose mean, std or standardized value overflows float64.
+    """
 
     mean: np.ndarray
     std: np.ndarray
@@ -103,12 +114,37 @@ class Standardizer:
         if not samples:
             raise EmptyTrainingError("cannot fit a standardizer on no samples")
         matrix = np.stack([s.features for s in samples]).astype(np.float64)
-        mean = matrix.mean(axis=0)
-        std = np.maximum(matrix.std(axis=0), cls.STD_FLOOR)
+        # Overflow is reported by the finiteness check below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = matrix.mean(axis=0)
+            std = np.maximum(matrix.std(axis=0), cls.STD_FLOOR)
+        bad = ~(np.isfinite(mean) & np.isfinite(std))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise FeatureOverflowError(
+                f"feature f{i} overflows standardization: "
+                f"mean {mean[i]}, std {std[i]} over {len(samples)} samples"
+            )
         return cls(mean=mean, std=std)
 
     def apply(self, features: np.ndarray) -> np.ndarray:
         return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
+
+    def check(self, samples: list[LabeledSample]) -> None:
+        """Raise ``FeatureOverflowError`` if a sample standardizes to a value
+        that is not finite. Feature CSV rows can; the ``signed_log``
+        features that ``predict`` computes stay within about +-330."""
+        if not samples:
+            return
+        matrix = np.stack([s.features for s in samples]).astype(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = ~np.isfinite(self.apply(matrix))
+        if bad.any():
+            row, i = np.argwhere(bad)[0]
+            raise FeatureOverflowError(
+                f"sample {samples[row].source}: feature f{i} value "
+                f"{matrix[row, i]} does not standardize to a finite value"
+            )
 
 
 @dataclass
@@ -204,8 +240,9 @@ def _forward(
     for w, b in zip(weights[:-1], biases[:-1]):
         activations.append(np.tanh(activations[-1] @ w + b))
     logits = activations[-1] @ weights[-1] + biases[-1]
-    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
-    activations.append(exp / exp.sum(axis=1, keepdims=True))
+    # The reductions behind ``.max()`` and ``.sum()``, without their wrappers.
+    exp = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
+    activations.append(exp / np.add.reduce(exp, axis=1, keepdims=True))
     return activations
 
 
@@ -221,33 +258,54 @@ def mlp_init(
     return weights, biases
 
 
+def _layer_views(
+    flat: np.ndarray, sizes: list[int]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each layer's weight matrix and bias vector as C-contiguous views into
+    one flat buffer laid out ``w0, b0, w1, b1, ...``."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[at : at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(flat[at : at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
 def mlp_loss_and_grads(
     weights: list[np.ndarray],
     biases: list[np.ndarray],
     matrix: np.ndarray,
     target_idx: np.ndarray,
+    grads_w: list[np.ndarray] | None = None,
+    grads_b: list[np.ndarray] | None = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean cross-entropy of a batch plus gradients for every parameter.
 
     This is the single backprop implementation: the training loop consumes it
     directly, so a finite-difference check of this function validates the
-    gradients the optimizer actually uses.
+    gradients the optimizer actually uses. The gradients are written into
+    ``grads_w`` and ``grads_b`` (arrays shaped like the weights and biases)
+    when given, and into new arrays otherwise; both lists are returned.
     """
+    if grads_w is None or grads_b is None:
+        grads_w = [np.empty_like(w) for w in weights]
+        grads_b = [np.empty_like(b) for b in biases]
+    n = matrix.shape[0]
+    target = (np.arange(n), target_idx)
     # Divergence shows up as inf/nan here and is reported through the loss
     # (train_mlp raises NonFiniteLossError), so numpy's warnings add nothing.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        *activations, probs = _forward(weights, biases, matrix)
-        n = matrix.shape[0]
-        loss = float(-np.mean(np.log(probs[np.arange(n), target_idx])))
+        *activations, delta = _forward(weights, biases, matrix)
+        # np.mean's sum and division, without its wrapper.
+        loss = float(-(np.add.reduce(np.log(delta[target])) / n))
 
-    delta = probs.copy()
-    delta[np.arange(n), target_idx] -= 1.0
+    # The probabilities are not needed past the loss, so they become delta.
+    delta[target] -= 1.0
     delta /= n
-    grads_w = [np.empty(0)] * len(weights)
-    grads_b = [np.empty(0)] * len(biases)
     for layer in range(len(weights) - 1, -1, -1):
-        grads_w[layer] = activations[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+        np.matmul(activations[layer].T, delta, out=grads_w[layer])
+        np.add.reduce(delta, axis=0, out=grads_b[layer])
         if layer > 0:
             # tanh'(z) expressed through the activation itself: 1 - a^2.
             delta = (delta @ weights[layer].T) * (1.0 - activations[layer] ** 2)
@@ -268,6 +326,12 @@ def train_mlp(
     ``val`` the training accuracy is used for selection instead. Raises
     ``SingleClassError`` for fewer than two training classes and
     ``NonFiniteLossError`` if the loss diverges.
+
+    All weights and biases are views into one flat ``params`` buffer, and
+    ``mlp_loss_and_grads`` writes the gradients into views of a ``grads``
+    buffer of the same layout, so each step's update ``p -= lr * g`` runs as
+    two whole-buffer operations. It is the same multiply and subtract per
+    element as a layer-by-layer update, so the model is the same to the bit.
     """
     labels = sorted({s.label for s in train})
     if len(labels) < 2:
@@ -284,34 +348,42 @@ def train_mlp(
     sizes = [x_train.shape[1], *cfg.hidden, len(labels)]
     rng = _rng(cfg.seed)
     # One stream drives both init and epoch shuffling, consumed in fixed order.
-    weights, biases = mlp_init(sizes, rng)
+    init_w, init_b = mlp_init(sizes, rng)
+    params = np.concatenate([p.ravel() for layer in zip(init_w, init_b) for p in layer])
+    weights, biases = _layer_views(params, sizes)
+    grads = np.empty_like(params)
+    grads_w, grads_b = _layer_views(grads, sizes)
 
     best_acc = -1.0
-    best_weights = [w.copy() for w in weights]
-    best_biases = [b.copy() for b in biases]
+    best = params.copy()
     history: list[float] = []
 
     n = x_train.shape[0]
-    for _ in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch):
-            batch = order[start : start + cfg.batch]
-            loss, grads_w, grads_b = mlp_loss_and_grads(
-                weights, biases, x_train[batch], y_train[batch]
-            )
-            if not math.isfinite(loss):
-                raise NonFiniteLossError(f"loss diverged to {loss}")
-            for layer in range(len(weights)):
-                weights[layer] -= cfg.lr * grads_w[layer]
-                biases[layer] -= cfg.lr * grads_b[layer]
-        predicted = _forward(weights, biases, x_select)[-1].argmax(axis=1)
-        acc = float(np.mean(predicted == y_select))
-        history.append(acc)
-        if acc > best_acc:
-            best_acc = acc
-            best_weights = [w.copy() for w in weights]
-            best_biases = [b.copy() for b in biases]
+    # A huge learning rate can overflow the update or the backward pass; the
+    # next step's loss then reports it, so numpy's warnings add nothing.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            x_epoch, y_epoch = x_train[order], y_train[order]
+            for start in range(0, n, cfg.batch):
+                stop = start + cfg.batch
+                loss, _, _ = mlp_loss_and_grads(
+                    weights, biases, x_epoch[start:stop], y_epoch[start:stop],
+                    grads_w, grads_b,
+                )
+                if not math.isfinite(loss):
+                    raise NonFiniteLossError(f"loss diverged to {loss}")
+                grads *= cfg.lr
+                params -= grads
+            predicted = _forward(weights, biases, x_select)[-1].argmax(axis=1)
+            # np.mean of the matches: an exact count over the row count.
+            acc = np.count_nonzero(predicted == y_select) / len(y_select)
+            history.append(acc)
+            if acc > best_acc:
+                best_acc = acc
+                best = params.copy()
 
+    best_weights, best_biases = _layer_views(best, sizes)
     return MlpModel(
         sizes=sizes,
         weights=best_weights,

@@ -30,6 +30,7 @@ from .classify import (
 )
 from .diagnostics import detect_secondary_blobs
 from .errors import (
+    FeatureOverflowError,
     MhiError,
     NonFiniteLossError,
     SingleClassError,
@@ -209,9 +210,10 @@ def cmd_train(args) -> int:
         if len({s.label for s in labeled}) < 2:
             raise SingleClassError("training needs samples from >= 2 classes")
         train, val, test = split_dataset(labeled, SplitSpec(seed=args.seed))
+        standardizer = Standardizer.fit(train)
+        standardizer.check(labeled)
     except MhiError as exc:
         raise MhiError(f"{source}: {exc}") from exc
-    standardizer = Standardizer.fit(train)
 
     def standardized(part):
         return [
@@ -261,8 +263,9 @@ def cmd_eval(args) -> int:
     if not samples:
         raise MhiError(f"{args.features}: no samples to evaluate, only the header")
     try:
+        model.standardizer.check(samples)
         matrix, _ = evaluate(model, samples)
-    except UnknownLabelError as exc:
+    except (UnknownLabelError, FeatureOverflowError) as exc:
         raise MhiError(f"{args.features}: {exc}") from exc
     _write_out(args.out, matrix.to_csv())
     return 0

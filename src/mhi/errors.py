@@ -88,6 +88,10 @@ class EmptyTrainingError(MhiError):
     """Standardizer fit on an empty training set."""
 
 
+class FeatureOverflowError(MhiError):
+    """A feature's mean, std or standardized value overflows float64."""
+
+
 class SingleClassError(MhiError):
     """Classifier training needs at least two distinct labels."""
 

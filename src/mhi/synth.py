@@ -33,6 +33,10 @@ _SPEC_KEYS = {*_STR_FIELDS, *_INT_FIELDS}
 #: Most pixels one clip may hold, ``frames * size**2``: a 2 GiB uint8 array.
 PIXEL_BUDGET = 2**31
 
+#: Most pixels one spec list may hold over all its clips,
+#: ``sum(count * frames * size**2)``: 8 GiB of frames on disk.
+TOTAL_PIXEL_BUDGET = 2**33
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -97,7 +101,12 @@ class SynthSpec:
 
 
 def parse_specs(text: str) -> list[SynthSpec]:
-    """Parse a JSON array of spec objects; unknown keys are rejected."""
+    """Parse a JSON array of spec objects; unknown keys are rejected.
+
+    Names must be unique, because each names its clips' directories, and
+    the clips of all specs together may hold at most ``TOTAL_PIXEL_BUDGET``
+    pixels.
+    """
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -117,6 +126,15 @@ def parse_specs(text: str) -> list[SynthSpec]:
             specs.append(SynthSpec(**obj))
         except (TypeError, SynthSpecError) as exc:
             raise SynthSpecError(f"spec {i}: {exc}") from exc
+    first = {}
+    for i, spec in enumerate(specs):
+        if spec.name in first:
+            raise SynthSpecError(f"spec {i}: name {spec.name!r} repeats spec {first[spec.name]}")
+        first[spec.name] = i
+    total = sum(spec.count * spec.frames * spec.size**2 for spec in specs)
+    if total > TOTAL_PIXEL_BUDGET:
+        raise SynthSpecError(f"the specs total {total} pixels, "
+                             f"more than the 2**33 allowed over all clips")
     return specs
 
 

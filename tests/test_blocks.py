@@ -6,7 +6,8 @@ These tests hold every window of every block to oracles that see one window
 alone: the literal ``yc[q] @ img @ xc[p]`` moment formulas and a pure-Python
 flood fill, and every ``extract`` row to ``feature_vector(build_template(seq))``
 of its clip alone. The kernel test reruns the comparisons in child processes
-under other BLAS and SIMD kernels.
+under other BLAS and SIMD kernels, together with small ``train_mlp`` runs held
+to the former training loop.
 """
 
 import hashlib
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 import mhi
 from mhi import temporal
+from mhi.classify import MlpConfig
 from mhi.cli import extract_samples
 from mhi.diagnostics import detect_secondary_blobs
 from mhi.errors import NoMotionError
@@ -46,6 +48,7 @@ from mhi.moments import (
     stack_moments,
 )
 from mhi.temporal import _BLOCK, build_template, motion_masks, window_templates
+from test_classify import training_matches_former_loop, training_samples
 from test_diagnostics import _flood_fill_diagnostic
 from test_temporal import blocky_frames
 
@@ -273,7 +276,9 @@ def kernel_probe() -> dict:
     and MEIs are exact whatever the kernel: each raw-moment partial sum is an
     integer below 2**53. Features are not, so for them only the comparisons
     with the oracles are returned: block against literal formulas, and each
-    ``extract`` row against its per-clip row.
+    ``extract`` row against its per-clip row. Trained weights are not exact
+    either, so ``train_mismatches`` counts the small ``train_mlp`` runs whose
+    model or history differs from the former training loop's in this process.
     """
     rng = np.random.Generator(np.random.PCG64(11))
     frames = video_with_still(rng, 2 * _BLOCK + 15, 10, 12, 30, 20)
@@ -300,6 +305,14 @@ def kernel_probe() -> dict:
     blobs = [[d.component_count, d.warning] for b in blocks for d in detect_secondary_blobs(b.mei)]
     return {
         "mismatches": len(block_mismatches(blocks)),
+        "train_mismatches": sum(
+            not training_matches_former_loop(
+                *training_samples(3, n, 5, n_val, 2.0, seed),
+                MlpConfig(hidden=hidden, lr=0.3, epochs=8, batch=batch, seed=seed),
+            )
+            for n, n_val, hidden, batch, seed in
+            [(12, 4, (), 5, 1), (9, 0, (7,), 2, 2), (14, 3, (8, 6), 16, 3)]
+        ),
         "clip_mismatches": len(block_mismatches(clip_blocks)) + (rows != per_clip_rows(clips, 12)),
         "masks": digest([motion_masks(frames, THETA)]),
         "mhi": digest(b.mhi for b in blocks),
@@ -339,7 +352,7 @@ def run_probe(overrides: dict) -> dict:
                     reason="the kernel names are x86 OpenBLAS and numpy dispatch targets")
 def test_blocks_and_exact_stages_hold_under_other_kernels():
     results = {name: run_probe(overrides) for name, overrides in KERNELS.items()}
-    for key in ("mismatches", "clip_mismatches"):
+    for key in ("mismatches", "clip_mismatches", "train_mismatches"):
         assert {name: r[key] for name, r in results.items()} == dict.fromkeys(KERNELS, 0), key
     assert results["default"]["clip_blocks"] == [8, 3]
     for name, result in results.items():

@@ -8,7 +8,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mhi import classify
@@ -29,6 +29,7 @@ from mhi.classify import (
 from mhi.errors import (
     EmptySplitError,
     EmptyTrainingError,
+    FeatureOverflowError,
     NonFiniteLossError,
     SingleClassError,
     StratificationError,
@@ -111,6 +112,22 @@ def test_standardizer_constant_feature():
     std = Standardizer.fit(samples)
     assert std.std[0] == Standardizer.STD_FLOOR
     assert std.apply(np.array([7.0, 2.5]))[0] == 0.0
+
+
+def test_standardizer_overflow_names_the_feature():
+    # Any warning fails the test, so the overflow must stay inside.
+    samples = make_samples({"a": 6}, dim=3, seed=11)
+    for i, sample in enumerate(samples):
+        sample.features[1] = 1e308 if i % 2 else -1e308
+    with pytest.raises(FeatureOverflowError, match=r"^feature f1 overflows standardization"):
+        Standardizer.fit(samples)
+
+    std = Standardizer(mean=np.zeros(3), std=np.array([1.0, 1.0, 0.5]))
+    wide = make_samples({"b": 3}, dim=3, seed=12)
+    std.check(wide)
+    wide[2].features[2] = 1e308
+    with pytest.raises(FeatureOverflowError, match=r"^sample b_2: feature f2 value 1e\+308 "):
+        std.check(wide)
 
 
 def test_standardizer_empty():
@@ -605,3 +622,122 @@ def test_forward_pass_matches_former_layer_loop(sizes, batch, scale, seed):
     assert same_bits(loss, loss_before)
     for got, want in zip(grads_w + grads_b, grads_w_before + grads_b_before):
         assert same_bits(got, want)
+
+
+# --- the training loop against the former one ---
+
+def train_mlp_before(train, val, cfg):
+    labels = sorted({s.label for s in train})
+    index = {label: i for i, label in enumerate(labels)}
+
+    def encode(samples):
+        return (np.stack([s.features for s in samples]).astype(np.float64),
+                np.array([index[s.label] for s in samples]))
+
+    x_train, y_train = encode(train)
+    x_select, y_select = encode(val or train)
+
+    sizes = [x_train.shape[1], *cfg.hidden, len(labels)]
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    weights, biases = mlp_init(sizes, rng)
+
+    best_acc = -1.0
+    best_weights = [w.copy() for w in weights]
+    best_biases = [b.copy() for b in biases]
+    history = []
+
+    n = x_train.shape[0]
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch):
+            batch = order[start : start + cfg.batch]
+            loss, grads_w, grads_b = loss_and_grads_before(
+                weights, biases, x_train[batch], y_train[batch]
+            )
+            if not math.isfinite(loss):
+                raise NonFiniteLossError(f"loss diverged to {loss}")
+            for layer in range(len(weights)):
+                weights[layer] -= cfg.lr * grads_w[layer]
+                biases[layer] -= cfg.lr * grads_b[layer]
+        predicted = forward_loop_before(weights, biases, x_select)[1].argmax(axis=1)
+        acc = float(np.mean(predicted == y_select))
+        history.append(acc)
+        if acc > best_acc:
+            best_acc = acc
+            best_weights = [w.copy() for w in weights]
+            best_biases = [b.copy() for b in biases]
+    return best_weights, best_biases, history
+
+
+def training_samples(classes, n, dim, n_val, scale, seed):
+    """``n`` training samples cycling through ``classes`` labels, and
+    ``n_val`` validation samples with random labels."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    train = [LabeledSample(rng.standard_normal(dim) * scale, f"c{i % classes}", str(i))
+             for i in range(n)]
+    val = [LabeledSample(rng.standard_normal(dim) * scale, f"c{rng.integers(classes)}", "v")
+           for _ in range(n_val)]
+    return train, val
+
+
+def training_outcome(train_fn, train, val, cfg):
+    """The shapes and bytes of the trained weights and biases with the
+    validation history, or the type and message of the divergence error."""
+    try:
+        weights, biases, history = train_fn(train, val, cfg)
+    except NonFiniteLossError as exc:
+        return type(exc), str(exc)
+    return [(a.shape, a.dtype, a.tobytes()) for a in weights + biases], history
+
+
+def training_matches_former_loop(train, val, cfg) -> bool:
+    def train_now(*args):
+        model = train_mlp(*args)
+        return model.weights, model.biases, model.val_history
+
+    got = training_outcome(train_now, train, val, cfg)
+    # The former loop's backprop copy has no errstate of its own.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        want = training_outcome(train_mlp_before, train, val, cfg)
+    return got == want
+
+
+@st.composite
+def training_cases(draw):
+    classes = draw(st.integers(2, 4))
+    n = draw(st.integers(classes, 12))
+    samples = dict(classes=classes, n=n, dim=draw(st.integers(1, 5)),
+                   n_val=draw(st.integers(0, 4)), scale=draw(st.sampled_from([0.5, 3.0])),
+                   seed=draw(st.integers(0, 2**32 - 1)))
+    cfg = MlpConfig(
+        hidden=tuple(draw(st.lists(st.integers(1, 8), max_size=3))),
+        # 1e3 tends to diverge after some steps, 1e30 at once.
+        lr=draw(st.sampled_from([0.05, 0.5, 1e3, 1e30])),
+        epochs=draw(st.integers(1, 15)),
+        batch=draw(st.integers(1, n + 3)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return samples, cfg
+
+
+_EXAMPLE_SAMPLES = dict(classes=3, n=10, dim=4, n_val=0, scale=3.0, seed=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=training_cases())
+# Batches that do not divide n, a batch above n, no val, divergence.
+@example(case=(_EXAMPLE_SAMPLES, MlpConfig(hidden=(5, 4), lr=0.5, epochs=15, batch=3, seed=1)))
+@example(case=(_EXAMPLE_SAMPLES, MlpConfig(hidden=(), lr=0.05, epochs=7, batch=13, seed=2)))
+@example(case=(_EXAMPLE_SAMPLES, MlpConfig(hidden=(6,), lr=1e30, epochs=3, batch=4, seed=3)))
+def test_train_mlp_matches_former_loop(case):
+    samples, cfg = case
+    train, val = training_samples(**samples)
+    assert training_matches_former_loop(train, val, cfg)
+
+
+def test_train_mlp_divergence_matches_former_loop():
+    train, val = training_samples(**_EXAMPLE_SAMPLES)
+    cfg = MlpConfig(hidden=(6,), lr=1e30, epochs=3, batch=4, seed=3)
+    with pytest.raises(NonFiniteLossError, match="^loss diverged to "):
+        train_mlp(train, val, cfg)
+    assert training_matches_former_loop(train, val, cfg)

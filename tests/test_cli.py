@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 import json
 import os
 import shutil
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhi import temporal
+from mhi import cli, serialize, temporal
 from mhi.classify import TrainedModel
 from mhi.cli import FEATURE_HEADER, features_to_csv, main, read_features_csv
 from mhi.diagnostics import detect_secondary_blob
@@ -170,6 +171,41 @@ def test_non_finite_feature_csv_exit_two(workspace, tmp_path, caplog, bad):
     assert f"{path}: line 4" in caplog.text
     assert main(["train", "--features", str(path), "--classifier", "knn",
                  "--out", str(tmp_path / "m.json")]) == 2
+
+
+def _with_f0(workspace, path, values):
+    """The workspace feature CSV with column f0 set row by row from ``values``."""
+    rows = list(csv.reader(io.StringIO(workspace["feats"].read_text(), newline="")))
+    for row, value in zip(rows[1:], values):
+        row[2] = value
+    path.write_text(serialize.csv_text(rows), newline="")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["knn", "mlp"])
+def test_train_on_overflowing_feature_names_csv_and_column(workspace, tmp_path, caplog, kind):
+    # The squared deviations of +-1e308 overflow; any warning fails the test.
+    path = _with_f0(workspace, tmp_path / "feats.csv", itertools.cycle(["1e308", "-1e308"]))
+    assert main(["train", "--features", path, "--classifier", kind, "--epochs", "3",
+                 "--out", str(tmp_path / "m.json")]) == 2
+    assert f"{path}: feature f0 overflows standardization" in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["feats.csv"]
+
+
+@pytest.mark.parametrize("kind", ["knn", "mlp"])
+def test_eval_on_overflowing_feature_names_csv_and_column(workspace, tmp_path, caplog, kind):
+    # f0 spreads by about 0.005 in training, so 1e308 standardizes to inf.
+    narrow = _with_f0(workspace, tmp_path / "narrow.csv", (f"{i / 1000}" for i in range(18)))
+    model = str(tmp_path / "m.json")
+    assert main(["train", "--features", narrow, "--classifier", kind, "--epochs", "3",
+                 "--out", model]) == 0
+    path = _with_f0(workspace, tmp_path / "eval.csv", ["0.001", "1e308"])
+    out = tmp_path / "confusion.csv"
+    assert main(["eval", "--model", model, "--features", path, "--out", str(out)]) == 2
+    source = read_features_csv(path)[1].source
+    assert (f"{path}: sample {source}: feature f0 value 1e+308 does not standardize "
+            "to a finite value") in caplog.text
+    assert not out.exists()
 
 
 def test_train_model_documents(workspace):
@@ -919,6 +955,32 @@ def test_synth_over_pixel_budget_names_spec_and_writes_nothing(tmp_path, caplog,
     spec.write_text(json.dumps([small, {"name": "b", "program": "translate", field: value}]))
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
     assert f"{spec}: spec 1: frames * size**2 must be <= 2**31 pixels per clip" in caplog.text
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.json"]
+
+
+def test_synth_repeated_name_names_both_specs_and_writes_nothing(tmp_path, caplog):
+    spec = tmp_path / "spec.json"
+    clip = {"program": "translate", "size": 16, "rect": 4}
+    spec.write_text(json.dumps([dict(clip, name="a", frames=4), dict(clip, name="a", frames=3)]))
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert f"{spec}: spec 1: name 'a' repeats spec 0" in caplog.text
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.json"]
+
+
+def test_synth_over_total_pixel_budget_names_total_and_writes_nothing(
+    tmp_path, caplog, monkeypatch
+):
+    # Each clip is at the per-clip budget; five of them pass the total. Should
+    # the check fail, the stand-in fails the test before 10 GiB are written.
+    def generate(specs, out_dir):
+        raise AssertionError("clips over the total budget reached generate")
+
+    monkeypatch.setattr(cli, "generate", generate)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps([{"name": "a", "program": "translate", "frames": 2**11,
+                                 "size": 2**10, "count": 5}]))
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert f"{spec}: the specs total {5 * 2**31} pixels" in caplog.text
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["spec.json"]
 
 

@@ -1,5 +1,7 @@
 """Synthetic clip generation: spec validation, motion laws, determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from mhi.errors import SynthSpecError
 from mhi.imgio import load_manifest_file, load_sequence, read_pgm_file
 from mhi.synth import (
     PIXEL_BUDGET,
+    TOTAL_PIXEL_BUDGET,
     SynthSpec,
     generate,
     parse_specs,
@@ -67,6 +70,22 @@ def test_pixel_budget_bound_is_inclusive():
     # Built only, never rendered: the clip would take 2 GiB.
     spec = SynthSpec(name="x", program="translate", frames=2**31 // 64**2)
     assert spec.frames * spec.size**2 == PIXEL_BUDGET
+
+
+def test_parse_specs_rejects_a_repeated_name():
+    text = json.dumps([{"name": n, "program": "translate"} for n in ("a", "b", "a")])
+    with pytest.raises(SynthSpecError, match=r"^spec 2: name 'a' repeats spec 0$"):
+        parse_specs(text)
+
+
+def test_total_pixel_budget_bound_is_inclusive():
+    # Parsed only, never rendered: the clips would take 8 GiB.
+    spec = {"name": "x", "program": "translate", "frames": 2**11, "size": 2**10, "count": 4}
+    (parsed,) = parse_specs(json.dumps([spec]))
+    assert parsed.count * parsed.frames * parsed.size**2 == TOTAL_PIXEL_BUDGET
+    tiny = {"name": "y", "program": "translate", "frames": 2, "size": 8, "rect": 4}
+    with pytest.raises(SynthSpecError, match=rf"^the specs total {2**33 + 128} pixels"):
+        parse_specs(json.dumps([spec, tiny]))
 
 
 def test_parse_specs_round_trip():
