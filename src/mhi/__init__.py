@@ -25,6 +25,7 @@ from .imgio import (
     load_manifest,
     load_manifest_file,
     load_sequence,
+    read_frames,
     read_pgm,
     read_pgm_file,
     write_pgm,
@@ -91,6 +92,7 @@ __all__ = [
     "motion_masks",
     "normalize_mhi",
     "parse_specs",
+    "read_frames",
     "read_pgm",
     "read_pgm_file",
     "render_clip",

@@ -170,10 +170,20 @@ class KnnModel:
 
         Equal distances prefer the lower stored-sample index. The winner ranks
         first by (most votes, smallest mean neighbor distance, lexicographically
-        smallest label).
+        smallest label). Raises ``FeatureOverflowError`` when a distance is not
+        finite, as for a finite row far enough out that its squares overflow.
         """
-        diffs = self.vectors - np.asarray(features, dtype=np.float64)
-        dist = np.sqrt(np.sum(diffs * diffs, axis=1))
+        features = np.asarray(features, dtype=np.float64)
+        # Overflow is reported by the finiteness check below.
+        with np.errstate(over="ignore"):
+            diffs = self.vectors - features
+            dist = np.sqrt(np.sum(diffs * diffs, axis=1))
+        if not np.isfinite(dist).all():
+            i = int(np.argmax(np.abs(features)))
+            raise FeatureOverflowError(
+                f"feature f{i} standardizes to {features[i]:g}, too far from the "
+                "stored vectors for a finite distance"
+            )
         nearest = np.argsort(dist, kind="stable")[: self.k]
         near = defaultdict(list)
         for i in nearest:
@@ -422,7 +432,8 @@ def evaluate(model, samples: list[LabeledSample]) -> tuple[ConfusionMatrix, floa
 
     ``model`` is anything with ``label_set`` and ``predict`` (KnnModel,
     MlpModel, TrainedModel). Raises ``UnknownLabelError`` for a sample label
-    the model was not trained on.
+    the model was not trained on, and passes on the model's
+    ``FeatureOverflowError`` with the sample's source.
     """
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
@@ -432,7 +443,10 @@ def evaluate(model, samples: list[LabeledSample]) -> tuple[ConfusionMatrix, floa
     for sample in samples:
         if sample.label not in index:
             raise UnknownLabelError(f"label {sample.label!r} not in {labels}")
-        predicted, _ = model.predict(sample.features)
+        try:
+            predicted, _ = model.predict(sample.features)
+        except FeatureOverflowError as exc:
+            raise FeatureOverflowError(f"sample {sample.source}: {exc}") from exc
         counts[index[sample.label], index[predicted]] += 1
     matrix = ConfusionMatrix(labels=labels, counts=counts)
     return matrix, matrix.accuracy

@@ -41,7 +41,7 @@ from .errors import (
 from .imgio import (
     FrameSequence,
     load_manifest_file,
-    load_sequence,
+    read_frames,
     scan_frame_dir,
     write_pgm_file,
 )
@@ -151,8 +151,9 @@ def extract_samples(manifest: str, theta: float, tau: int) -> list[LabeledSample
 
     The whole-clip templates of consecutive same-shape sequences are packed
     into the blocks that ``predict`` uses, so the feature stage runs once per
-    block. A failing sequence raises only after the sequences before it are
-    done, so the warnings and the error come out in manifest order.
+    block. Each sequence's frames are read as its masks need them. A failing
+    sequence raises only after the sequences before it are done, so the
+    warnings and the error come out in manifest order.
     """
     try:
         records = load_manifest_file(manifest)
@@ -163,7 +164,8 @@ def extract_samples(manifest: str, theta: float, tau: int) -> list[LabeledSample
     def windows():
         for record in records:
             try:
-                window = clip_history(load_sequence(record, root=root), theta, tau)
+                seq = FrameSequence(read_frames(record, root), record)
+                window = clip_history(seq, theta, tau)
             except MhiError as exc:
                 raise MhiError(f"sequence {record.dir}: {exc}") from exc
             yield window
@@ -286,6 +288,9 @@ def predict_windows(
     label "none" with score 0. Each entry carries the secondary-blob
     diagnostic of its motion-energy image. Features and diagnostics are
     computed per block of windows; only the classifier runs window by window.
+    ``seq.frames`` may be a stream such as ``read_frames`` yields: the
+    windows are laid out from the record's length, and frames are drawn as
+    the windows reach them.
     """
     n = len(seq)
     if n < 2:
@@ -317,18 +322,22 @@ def predict_windows(
     return entries
 
 
+def _frame_stream(directory: str) -> FrameSequence:
+    """The frames of ``directory``, read one at a time as they are drawn."""
+    record = scan_frame_dir(directory)
+    return FrameSequence(read_frames(record), record)
+
+
 def cmd_predict(args) -> int:
     model = TrainedModel.load(args.model, FEATURE_DIM)
-    seq = load_sequence(scan_frame_dir(args.frames))
-    entries = predict_windows(model, seq, args.window, args.stride)
+    entries = predict_windows(model, _frame_stream(args.frames), args.window, args.stride)
     _write_out(args.out, serialize.dumps(entries) + "\n")
     return 0
 
 
 def cmd_render(args) -> int:
-    seq = load_sequence(scan_frame_dir(args.frames))
     try:
-        template = build_template(seq, theta=args.theta, tau=args.tau)
+        template = build_template(_frame_stream(args.frames), theta=args.theta, tau=args.tau)
     except TooFewFramesError as exc:
         raise MhiError(f"{args.frames}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)

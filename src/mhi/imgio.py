@@ -1,4 +1,4 @@
-"""Grayscale frame I/O: binary PGM codec, sequence manifests, frame loading.
+"""Grayscale frame I/O: binary PGM codec, sequence manifests, frame reading.
 
 A frame is a 2-D ``numpy.uint8`` array of shape ``(height, width)``; row-major
 pixel order matches the PGM payload byte-for-byte. Only binary PGM ("P5") with
@@ -8,6 +8,10 @@ keep their stored values, and a pixel above maxval is a decode error.
 Manifests are UTF-8 JSON Lines: one object per line with keys ``dir`` (str),
 ``start`` (int), ``end`` (int) and optional ``label`` (str). Frame files are
 named ``NNNNNN.pgm`` (zero-padded index, see ``frame_path``) inside ``dir``.
+
+``read_frames`` is the one frame reader: it yields a record's frames in index
+order, one file at a time, so a caller that folds them as they come holds
+only the frames it still needs. ``load_sequence`` stacks what it yields.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +63,26 @@ class SequenceRecord:
 
 @dataclass
 class FrameSequence:
-    """Frames of one sequence as an (N, H, W) uint8 stack, plus provenance."""
+    """Frames of one sequence, plus provenance.
 
-    frames: np.ndarray
+    ``frames`` is an (N, H, W) uint8 stack, or an iterable that yields the
+    record's frames one by one, as ``read_frames`` does. Its length is the
+    record's, so a stream is not read to count it; an iterator is used up by
+    the first pass over it. A stack must hold exactly the record's frames.
+    """
+
+    frames: np.ndarray | Iterable[np.ndarray]
     record: SequenceRecord
 
+    def __post_init__(self):
+        frames, n = self.frames, self.record.length
+        if isinstance(frames, np.ndarray) and frames.shape[:1] != (n,):
+            raise ValueError(
+                f"{self.record.dir}: stack of shape {frames.shape} for a record of {n} frames"
+            )
+
     def __len__(self) -> int:
-        return self.frames.shape[0]
+        return self.record.length
 
 
 def require_frame(frame: np.ndarray, stack: bool = False) -> np.ndarray:
@@ -230,8 +248,9 @@ def scan_frame_dir(directory: str) -> SequenceRecord:
     """The record from the lowest to the highest frame index in ``directory``.
 
     A file counts only under the name ``frame_path`` gives its index, so
-    ``1000000.pgm`` counts and ``0000001.pgm`` does not. ``load_sequence``
-    reports the first gap.
+    ``1000000.pgm`` counts and ``0000001.pgm`` does not. The indices must
+    run without a gap: ``MissingFrameError`` names the first absent frame,
+    so a stray high index fails here rather than set the record's length.
     """
     indices = sorted(
         int(name[:-4])
@@ -240,31 +259,44 @@ def scan_frame_dir(directory: str) -> SequenceRecord:
     )
     if not indices:
         raise MhiError(f"no NNNNNN.pgm frames in {directory}")
-    return SequenceRecord(dir=directory, start=indices[0], end=indices[-1])
+    start, end = indices[0], indices[-1]
+    if len(indices) != end - start + 1:
+        gap = next(start + i for i, index in enumerate(indices) if index != start + i)
+        raise MissingFrameError(gap, frame_path(directory, gap))
+    return SequenceRecord(dir=directory, start=start, end=end)
 
 
-def load_sequence(record: SequenceRecord, root: str | os.PathLike | None = None) -> FrameSequence:
-    """Load every frame of ``record`` into one (N, H, W) uint8 stack.
+def read_frames(
+    record: SequenceRecord, root: str | os.PathLike | None = None
+) -> Iterator[np.ndarray]:
+    """Yield the frames of ``record`` in index order, one file at a time.
 
     ``root``, when given, is prepended to ``record.dir`` (used for manifests
     whose paths are relative to the manifest file). Raises
     ``MissingFrameError`` for an absent file and ``DimensionMismatchError``
     when a frame's shape differs from the first frame's; both carry the
-    index of the offending frame and name its file.
+    index of the offending frame and name its file, as decode errors do.
+    A frame is read only when it is drawn, so the frames before a bad one
+    come out before the error.
     """
     directory = os.path.join(root, record.dir) if root is not None else record.dir
-    frames = []
+    shape = None
     for index in range(record.start, record.end + 1):
         path = frame_path(directory, index)
         try:
             frame = read_pgm_file(path)
         except FileNotFoundError:
             raise MissingFrameError(index, path) from None
-        if frames and frame.shape != frames[0].shape:
+        shape = shape or frame.shape
+        if frame.shape != shape:
             raise DimensionMismatchError(
                 f"{path}: frame {index} is {frame.shape[1]}x{frame.shape[0]}, "
-                f"expected {frames[0].shape[1]}x{frames[0].shape[0]}",
+                f"expected {shape[1]}x{shape[0]}",
                 index=index,
             )
-        frames.append(frame)
-    return FrameSequence(frames=np.stack(frames), record=record)
+        yield frame
+
+
+def load_sequence(record: SequenceRecord, root: str | os.PathLike | None = None) -> FrameSequence:
+    """Every frame ``read_frames`` yields for ``record``, in one (N, H, W) uint8 stack."""
+    return FrameSequence(frames=np.stack(list(read_frames(record, root))), record=record)

@@ -18,17 +18,26 @@ trailing window, whole clips and sliding windows alike.
 
 The fold and the templates are two steps. ``fold_history`` runs over one
 sequence and yields a history window, each pixel's last-active step, at each
-window's end. ``pack_templates`` turns history windows into templates in
-blocks of ``B``: a ``TemplateBlock`` holds ``(B, H, W)`` MHI and MEI stacks,
-so the moment and blob stages downstream run once per block, not once per
-window. The windows of one block may come from one video, as ``predict``'s
-sliding windows do, or from many clips of one frame shape, as the whole-clip
+window's end. It draws the sequence's frames one at a time, as the windows
+reach them, so ``FrameSequence.frames`` may be the stream that
+``imgio.read_frames`` yields. The frames are gathered into one mask block of
+32 frames; consecutive blocks share one frame, which is carried over rather
+than read again, and the mask stage reuses one set of scratch buffers from
+block to block (see ``imgproc``).
+
+``pack_templates`` turns history windows into templates in blocks of ``B``:
+a ``TemplateBlock`` holds ``(B, H, W)`` MHI and MEI stacks, so the moment
+and blob stages downstream run once per block, not once per window. The
+windows of one block may come from one video, as ``predict``'s sliding
+windows do, or from many clips of one frame shape, as the whole-clip
 templates of ``extract`` do. ``B`` is at most 8 and holds each float64 MHI
 stack to at most 1 MiB (8 windows up to 128x128, 2 at 256x256, 1 above
-362x362), so the memory the blocks take is bounded by the frame size,
-whatever the number of windows. Its one-window twin ``TemporalTemplate``,
-which ``build_template`` returns, holds the float64 MHI array ``mhi``, the
-uint8 MEI ``mei``, the window's ``frame_span`` and its ``tau``.
+362x362). A video is thus processed holding one mask block of frames and
+one template block at a time: memory bounded by the frame size, whatever
+the video's length or the number of windows. The one-window twin of a
+block, ``TemporalTemplate``, which ``build_template`` returns, holds the
+float64 MHI array ``mhi``, the uint8 MEI ``mei``, the window's
+``frame_span`` and its ``tau``.
 """
 
 from __future__ import annotations
@@ -39,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, TooFewFramesError
-from .imgio import FrameSequence
-from .imgproc import frame_diff, gaussian_smooth, morph_open
+from .imgio import FrameSequence, require_frame
+from .imgproc import frame_diff, gaussian_smooth, morph_open, scratch
 
 # Frames per motion_masks call; consecutive blocks share one frame.
 _BLOCK = 32
@@ -88,19 +97,57 @@ def mhi_step(values: np.ndarray, mask: np.ndarray, tau: int) -> np.ndarray:
     return np.where(mask > 0, float(tau), np.maximum(values - 1.0, 0.0))
 
 
-def motion_masks(frames: np.ndarray, theta: float) -> np.ndarray:
+def motion_masks(frames: np.ndarray, theta: float, work: dict | None = None) -> np.ndarray:
     """Cleaned binary masks for consecutive frame pairs.
 
     Each frame is smoothed, consecutive smoothed pairs are differenced against
     ``theta``, and each difference is opened. An ``(N, H, W)`` stack yields
     one ``(N-1, H, W)`` mask stack. ``frame_diff`` rejects a ``theta`` that
-    is not finite and >= 0.
+    is not finite and >= 0. With ``work``, the stages take their scratch
+    buffers from it, and the masks are valid until its next use.
     """
     frames = np.asarray(frames)
     if frames.ndim != 3:
         raise ValueError(f"expected an (N, H, W) frame stack, got shape {frames.shape}")
-    smoothed = gaussian_smooth(frames)
-    return morph_open(frame_diff(smoothed[:-1], smoothed[1:], theta))
+    smoothed = gaussian_smooth(frames, work)
+    return morph_open(frame_diff(smoothed[:-1], smoothed[1:], theta, work), work)
+
+
+def _masks(seq: FrameSequence, theta: float):
+    """Yield the ``len(seq) - 1`` motion masks of ``seq`` one by one.
+
+    Frames are drawn from ``seq.frames`` as they are needed and gathered into
+    one buffer of ``_BLOCK`` frames; each block makes one ``motion_masks``
+    call. Consecutive blocks share one frame, which is carried to the front
+    of the buffer rather than drawn again, so every frame is drawn once and
+    at most ``_BLOCK`` of them are held. A sequence of more than one block
+    reuses one set of scratch buffers from block to block. One block runs
+    each stage once and allocates as it goes, so a short clip does not hold
+    every stage's buffer at the same time.
+    """
+    n = len(seq)
+    frames = iter(seq.frames)
+    work = {} if n > _BLOCK else None
+    first = None
+    for lo in range(0, n - 1, _BLOCK - 1):
+        count = min(_BLOCK, n - lo)
+        for i in range(1 if lo else 0, count):
+            frame = next(frames, None)
+            if frame is None:
+                raise ValueError(f"{seq.record.dir}: frames ended after {lo + i} of {n}")
+            if first is None:
+                first = require_frame(frame)
+                block = scratch(work, "frames", (min(_BLOCK, n), *first.shape), np.uint8)
+            elif frame.dtype != np.uint8 or frame.shape != first.shape:
+                require_frame(frame)
+                raise DimensionMismatchError(
+                    f"{seq.record.dir}: frame {seq.record.start + lo + i} has shape "
+                    f"{frame.shape}, expected {first.shape}",
+                    index=seq.record.start + lo + i,
+                )
+            block[i] = frame
+        yield from motion_masks(block[:count], theta, work)
+        block[0] = block[count - 1]
 
 
 def fold_history(seq: FrameSequence, theta: float, tau: int, size: int, starts):
@@ -113,19 +160,25 @@ def fold_history(seq: FrameSequence, theta: float, tau: int, size: int, starts):
     steps, ``t`` the window's final mask step, ``steps = min(size - 1, tau)``
     the trailing mask steps its template uses (as ``build_template`` does),
     and ``span`` its absolute frame span. ``last`` is updated in place, so a
-    window must be read before the next one is drawn. Masks are computed
-    once, in blocks of ``_BLOCK`` frames that overlap by one frame, so they
-    do not grow with the sequence.
+    window must be read before the next one is drawn. Frames are drawn from
+    ``seq.frames``, which may be a stream, only as the windows need them,
+    and masks are computed once, in blocks of ``_BLOCK`` frames that overlap
+    by one frame (see ``_masks``), so neither grows with the sequence.
     """
     steps = min(size - 1, tau)
-    masks = (mask for lo in range(0, len(seq) - 1, _BLOCK - 1)
-             for mask in motion_masks(seq.frames[lo : lo + _BLOCK], theta))
-    last = np.full(seq.frames.shape[1:], -size, dtype=np.int32)  # never moved: age > steps
+    masks = _masks(seq, theta)
+    last = None
     t = -1
     for start in starts:
         while t < start + size - 2:
             t += 1
-            last[next(masks) > 0] = t
+            mask = next(masks)
+            if last is None:
+                # A pixel that never moved reads as last active at step -1.
+                # Its age t + 1 is >= steps, as a window has at most t + 1
+                # mask steps, so it is idle in every window.
+                last = np.full(mask.shape, -1, dtype=np.int32)
+            last[mask > 0] = t
         yield last, t, steps, (seq.record.start + t + 1 - steps, seq.record.start + t + 1)
 
 

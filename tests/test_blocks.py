@@ -2,6 +2,8 @@
 
 ``predict`` computes the moments and blob labels of B windows at once, and
 ``extract`` packs the whole-clip templates of B clips into the same blocks.
+The sliding windows are folded from frames handed over one by one, as
+``predict`` reads them, and ``extract`` reads its clips' frames that way too.
 These tests hold every window of every block to oracles that see one window
 alone: the literal ``yc[q] @ img @ xc[p]`` moment formulas and a pure-Python
 flood fill, and every ``extract`` row to ``feature_vector(build_template(seq))``
@@ -100,7 +102,8 @@ def video_with_still(rng, n, h, w, still_from, still_len):
 
 
 def window_blocks(frames, size, tau, starts, per_block):
-    seq = FrameSequence(frames, SequenceRecord("clip", 0, len(frames) - 1))
+    # The frames are handed over one by one, as ``predict`` reads them.
+    seq = FrameSequence(iter(list(frames)), SequenceRecord("clip", 0, len(frames) - 1))
     with mock.patch.multiple(temporal, _BLOCK_WINDOWS=per_block,
                              _BLOCK_VALUES=per_block * frames[0].size):
         return list(window_templates(seq, THETA, tau, size, starts))
@@ -152,6 +155,12 @@ def block_cases(draw):
 @example(_case(16, 10, 12, 1, 3, 2, 3, (0, 16), 2))
 # One window per block, stride 7 with a clamped trailing window.
 @example(_case(3 * _BLOCK, 20, 30, 7, 1, 3, 3, (40, 25), 3))
+# Videos that end one frame past the first and the second 32-frame mask
+# block (frames 0-31 and 31-62), at the block edge and one frame before it.
+@example(_case(_BLOCK + 1, 12, 12, 6, 8, 4, 4, (20, 13), 4))
+@example(_case(2 * _BLOCK + 1, 2 * _BLOCK + 1, 300, 1, 8, 4, 4, (0, 0), 5))
+@example(_case(2 * _BLOCK - 1, 30, 12, 100, 8, 4, 4, (50, 13), 6))
+@example(_case(_BLOCK, 2, 1, 1, 9, 2, 2, (10, 5), 7))
 def test_blocks_match_per_window_oracles(case):
     rng = np.random.Generator(np.random.PCG64(case["seed"]))
     frames = video_with_still(rng, case["n"], case["h"], case["w"], *case["still"])

@@ -196,6 +196,17 @@ def test_knn_validation():
         KnnModel(k=3, vectors=np.zeros((2, 2)), labels=["a", "b"])
 
 
+@pytest.mark.parametrize("row", [[1e200, 0.0], [0.0, -1e155], [1.7e308, 0.0]])
+def test_knn_distance_overflow_raises(row):
+    # Finite rows whose square, sum of squares or difference overflows.
+    model = KnnModel(k=1, vectors=np.array([[0.0, 0.0], [-1.7e308, 1.0]]), labels=["a", "b"])
+    with pytest.raises(FeatureOverflowError, match=r"feature f\d standardizes to"):
+        model.predict(np.array(row))
+    sample = LabeledSample(features=np.array(row), label="a", source="clip:0-9")
+    with pytest.raises(FeatureOverflowError, match="^sample clip:0-9: feature"):
+        evaluate(model, [sample])
+
+
 # --- MLP ---
 
 def blob_samples(n_per=20, dim=4, gap=6.0, seed=13):

@@ -8,13 +8,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhi import cli, serialize, temporal
+from mhi import cli, imgio, serialize, temporal
 from mhi.classify import TrainedModel
 from mhi.cli import FEATURE_HEADER, features_to_csv, main, read_features_csv
 from mhi.diagnostics import detect_secondary_blob
@@ -205,6 +206,19 @@ def test_eval_on_overflowing_feature_names_csv_and_column(workspace, tmp_path, c
     source = read_features_csv(path)[1].source
     assert (f"{path}: sample {source}: feature f0 value 1e+308 does not standardize "
             "to a finite value") in caplog.text
+    assert not out.exists()
+
+
+def test_eval_knn_distance_overflow_names_csv_and_sample(workspace, tmp_path, caplog):
+    # 1e200 standardizes to a finite value, but its square overflows; any
+    # warning fails the test.
+    path = _with_f0(workspace, tmp_path / "eval.csv", ["0.001", "1e200"])
+    out = tmp_path / "confusion.csv"
+    assert main(["eval", "--model", str(workspace["knn"]), "--features", path,
+                 "--out", str(out)]) == 2
+    source = read_features_csv(path)[1].source
+    assert f"{path}: sample {source}: feature f0 standardizes to" in caplog.text
+    assert "for a finite distance" in caplog.text
     assert not out.exists()
 
 
@@ -884,6 +898,131 @@ def test_predict_still_stretch_matches_per_window_reference(
     assert all(e["label"] == "none" and e["score"] == 0.0 for e in still)
     assert all(e["diagnostic"] == {"component_count": 0, "warning": False} for e in still)
     assert {e["label"] for e in entries} - {"none"}
+
+
+def _clip_video(workspace, directory, n):
+    """The workspace clips' frames one after another, as frames 0..n-1 of a
+    48x48 video in ``directory``; returns their stack."""
+    directory.mkdir()
+    clips = sorted(p for p in workspace["clips"].iterdir() if p.is_dir())
+    for i in range(n):
+        clip = clips[i // 12 % len(clips)]
+        shutil.copyfile(frame_path(clip, i % 12), frame_path(directory, i))
+    return load_sequence(SequenceRecord(str(directory), 0, n - 1)).frames
+
+
+# Mask blocks hold 32 frames and share one, so they span frames 0-31, 31-62
+# and 62-93: these lengths end a video one frame before, at and after the
+# end of the first and the second block.
+@pytest.mark.parametrize("n", [2, 31, 32, 33, 62, 63, 64, 65])
+@pytest.mark.parametrize("flags, window, stride", [
+    ([], int(TAU), None),                           # the defaults: tau, window/2
+    (["--window", "100"], 100, None),               # window longer than the video
+    (["--window", "8", "--stride", "100"], 8, 100),  # stride longer than the video
+], ids=["default", "long-window", "long-stride"])
+def test_predict_matches_per_window_reference_at_mask_block_edges(
+    workspace, tmp_path, n, flags, window, stride,
+):
+    frames = _clip_video(workspace, tmp_path / "video", n)
+    out = tmp_path / "pred.json"
+    assert main(["predict", "--model", str(workspace["mlp"]), "--frames",
+                 str(tmp_path / "video"), "--out", str(out), *flags]) == 0
+    entries = json.loads(out.read_text())
+
+    size = max(min(window, n), 2)
+    starts = list(range(0, n - size + 1, stride or max(1, size // 2)))
+    if starts[-1] != n - size:
+        starts.append(n - size)
+    assert entries[-1]["end_frame"] == n - 1
+    model = TrainedModel.load(workspace["mlp"])
+    assert entries == _reference_entries(model, frames, size, starts)
+
+
+def _peak_traced_bytes(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_predict_memory_is_bounded_by_the_frame_size(workspace, tmp_path):
+    # 2,000 frames of 48x48 take 4.6 MB as one stack. Frames are read as the
+    # mask blocks need them, so the peak stays near that of the first 250
+    # frames; what still grows is the output, one entry per window.
+    clips = sorted(p for p in workspace["clips"].iterdir() if p.is_dir())
+    sources = [frame_path(clip, i) for clip in clips for i in range(12)]
+    peaks = {}
+    for n in (250, 2000):
+        video = tmp_path / f"video{n}"
+        video.mkdir()
+        for i in range(n):
+            shutil.copyfile(sources[i % len(sources)], frame_path(video, i))
+        peaks[n] = _peak_traced_bytes(["predict", "--model", str(workspace["mlp"]),
+                                       "--frames", str(video),
+                                       "--out", str(tmp_path / f"pred{n}.json")])
+    assert peaks[2000] <= 1.5 * peaks[250]
+    assert peaks[2000] < 2000 * 48 * 48
+
+
+def _remove(path):
+    os.remove(path)
+
+
+def _resize(path):
+    write_pgm_file(path, np.zeros((24, 24), dtype=np.uint8))
+
+
+def _truncate(path):
+    with open(path, "r+b") as fh:
+        fh.truncate(100)
+
+
+@pytest.mark.parametrize("defect", [_remove, _resize, _truncate],
+                         ids=lambda f: f.__name__.strip("_"))
+@pytest.mark.parametrize("command", ["predict", "render", "extract"])
+def test_bad_frame_past_the_first_mask_block_names_it_and_writes_nothing(
+    workspace, tmp_path, caplog, command, defect,
+):
+    # Frame 50 lies in the second mask block, so the first block's windows
+    # are done before it is read.
+    video = tmp_path / "video"
+    _clip_video(workspace, video, 70)
+    defect(frame_path(video, 50))
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text('{"dir": "video", "label": "slide", "start": 0, "end": 69}\n')
+    argv = {
+        "predict": ["predict", "--model", str(workspace["mlp"]), "--frames", str(video)],
+        "render": ["render", "--frames", str(video)],
+        "extract": ["extract", "--manifest", str(manifest)],
+    }[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert frame_path(video, 50) in caplog.text
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "render"])
+def test_stray_high_frame_index_is_a_gap_found_before_any_work(
+    workspace, tmp_path, caplog, monkeypatch, command,
+):
+    # Frames 0-40 and 1,000,000: the gap at frame 41 is reported before the
+    # windows are laid out from the record's length or a frame is read.
+    video = tmp_path / "video"
+    _clip_video(workspace, video, 41)
+    write_pgm_file(frame_path(video, 1_000_000), np.zeros((48, 48), dtype=np.uint8))
+    reads = []
+    monkeypatch.setattr(imgio, "read_pgm_file", reads.append)
+    argv = {
+        "predict": ["predict", "--model", str(workspace["mlp"]), "--frames", str(video)],
+        "render": ["render", "--frames", str(video)],
+    }[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert frame_path(video, 41) in caplog.text
+    assert not out.exists()
+    assert reads == []
 
 
 def test_predict_covers_frames_past_six_digits(workspace, tmp_path):

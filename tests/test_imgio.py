@@ -23,11 +23,13 @@ from mhi.errors import (
 )
 from mhi.imgio import (
     _WHITESPACE,
+    FrameSequence,
     SequenceRecord,
     frame_path,
     load_manifest,
     load_manifest_file,
     load_sequence,
+    read_frames,
     read_pgm,
     read_pgm_file,
     scan_frame_dir,
@@ -257,6 +259,25 @@ def test_scan_frame_dir_counts_only_frame_path_names(tmp_path):
     assert record.dir == str(tmp_path)
 
 
+def test_scan_frame_dir_names_the_first_gap(tmp_path):
+    for index in (4, 5, 7, 9, 9_999_999_999):
+        (tmp_path / f"{index:06d}.pgm").write_bytes(b"")
+    with pytest.raises(MissingFrameError) as info:
+        scan_frame_dir(str(tmp_path))
+    assert info.value.index == 6
+    assert str(tmp_path / "000006.pgm") in str(info.value)
+
+
+def test_frame_stack_must_match_its_record():
+    stack = np.zeros((3, 2, 2), dtype=np.uint8)
+    assert len(FrameSequence(stack, SequenceRecord("c", 5, 7))) == 3
+    for end in (6, 8):
+        with pytest.raises(ValueError, match=r"stack of shape \(3, 2, 2\) for a record of"):
+            FrameSequence(stack, SequenceRecord("c", 5, end))
+    # A stream is not read to check it.
+    assert len(FrameSequence(iter([]), SequenceRecord("c", 5, 8))) == 4
+
+
 def test_scan_frame_dir_without_frames(tmp_path):
     (tmp_path / "12345.pgm").write_bytes(b"")
     with pytest.raises(MhiError, match="no NNNNNN.pgm frames"):
@@ -449,6 +470,24 @@ def test_load_sequence_dimension_mismatch(tmp_path):
     with pytest.raises(DimensionMismatchError) as info:
         load_sequence(SequenceRecord(dir="clip", start=0, end=2), root=tmp_path)
     assert info.value.index == 2
+
+
+def test_read_frames_yields_the_frames_before_a_bad_one(tmp_path):
+    _write_frames(tmp_path / "clip", 3, 5)
+    (tmp_path / "clip" / "000006.pgm").unlink()
+    frames = read_frames(SequenceRecord(dir="clip", start=3, end=7), root=tmp_path)
+    assert [int(next(frames)[0, 0]) for _ in range(3)] == [3, 4, 5]
+    with pytest.raises(MissingFrameError) as info:
+        next(frames)
+    assert info.value.index == 6
+    assert str(tmp_path / "clip" / "000006.pgm") in str(info.value)
+
+
+def test_load_sequence_stacks_what_read_frames_yields(tmp_path):
+    _write_frames(tmp_path / "clip", 0, 5, shape=(3, 7))
+    record = SequenceRecord(dir="clip", start=1, end=4)
+    frames = list(read_frames(record, root=tmp_path))
+    np.testing.assert_array_equal(load_sequence(record, root=tmp_path).frames, np.stack(frames))
 
 
 def test_load_sequence_frame_entry_not_a_file(tmp_path):

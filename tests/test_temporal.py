@@ -187,10 +187,34 @@ def test_motion_masks_match_per_frame_pipeline(frames, theta):
         morph_open(frame_diff(smoothed[i], smoothed[i + 1], theta))
         for i in range(len(frames) - 1)
     ]
-    got = motion_masks(frames, theta)
-    assert got.shape == (len(frames) - 1, *frames.shape[1:])
-    for mask, want in zip(got, expected):
-        np.testing.assert_array_equal(mask, want)
+    # One dict across all examples: its buffers are reused, grown and cut
+    # down to other frame shapes and counts.
+    for got in (motion_masks(frames, theta), motion_masks(frames, theta, _SHARED_WORK)):
+        assert got.shape == (len(frames) - 1, *frames.shape[1:])
+        for mask, want in zip(got, expected):
+            np.testing.assert_array_equal(mask, want)
+
+
+_SHARED_WORK = {}
+
+
+def test_stream_shorter_than_its_record_is_an_error():
+    frames = make_translating_sequence(frames=5).frames
+    seq = FrameSequence(iter(list(frames[:3])), SequenceRecord("c", 0, 4))
+    with pytest.raises(ValueError, match="frames ended after 3 of 5"):
+        build_template(seq, theta=10.0, tau=5)
+
+
+def test_stream_frame_of_another_shape_or_type_is_an_error():
+    frames = list(make_translating_sequence(frames=5).frames)
+    frames[3] = frames[3][:, :-1]
+    seq = FrameSequence(iter(frames), SequenceRecord("c", 10, 14))
+    with pytest.raises(DimensionMismatchError, match="frame 13") as info:
+        build_template(seq, theta=10.0, tau=5)
+    assert info.value.index == 13
+    frames[3] = frames[2].astype(np.int16)
+    with pytest.raises(ValueError, match="expected uint8 frame"):
+        build_template(FrameSequence(iter(frames), seq.record), theta=10.0, tau=5)
 
 
 @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -1.0])
@@ -242,18 +266,35 @@ def window_cases(draw):
 @example((2 * _BLOCK + 15, 30, 12, 1, 4, 4))    # windows straddle mask and window-block seams
 @example((2 * _BLOCK + 15, 30, 12, 1, 4, None))
 @example((3 * _BLOCK, 3 * _BLOCK, 300, 1, 5, 1))
+# Mask blocks span frames 0-31, 31-62 and 62-93; these videos end one frame
+# before, at and after the end of the first and the second block.
+@example((2, 2, 5, 1, 13, None))
+@example((_BLOCK - 1, 12, 300, 6, 6, None))
+@example((_BLOCK, _BLOCK, 300, 1, 7, None))      # the window is the whole video
+@example((_BLOCK + 1, 2, 1, 1, 8, 3))
+@example((2 * _BLOCK - 2, 30, 12, 100, 9, None))  # stride longer than the video
+@example((2 * _BLOCK - 1, 12, 12, 6, 10, 2))
+@example((2 * _BLOCK, 33, 40, 1, 11, None))
+@example((2 * _BLOCK + 1, 2 * _BLOCK + 1, 20, 1, 12, None))
 def test_window_templates_match_fold_oracle(case):
     n, size, tau, stride, seed, per_block = case
     rng = np.random.Generator(np.random.PCG64(seed))
     frames = blocky_frames(rng, n, 4, 5)
     base = int(rng.integers(0, 100))
-    seq = FrameSequence(frames, SequenceRecord("clip", base, base + n - 1))
+    record = SequenceRecord("clip", base, base + n - 1)
     starts = list(range(0, n - size + 1, stride))
     if starts[-1] != n - size:
         starts.append(n - size)
     values = temporal._BLOCK_VALUES if per_block is None else per_block * frames[0].size
     with mock.patch.object(temporal, "_BLOCK_VALUES", values):
-        blocks = list(window_templates(seq, 10.0, tau, size, starts))
+        blocks = list(window_templates(FrameSequence(frames, record), 10.0, tau, size, starts))
+        # The frames handed over one by one, as ``read_frames`` does.
+        streamed = list(window_templates(FrameSequence(iter(list(frames)), record),
+                                         10.0, tau, size, starts))
+    assert [b.spans for b in streamed] == [b.spans for b in blocks]
+    for got, want in zip(streamed, blocks):
+        np.testing.assert_array_equal(got.mhi, want.mhi)
+        np.testing.assert_array_equal(got.mei, want.mei)
     # Every block but the last holds B windows, B following the frame area.
     full = max(1, min(temporal._BLOCK_WINDOWS, values // frames[0].size))
     assert [len(b.spans) for b in blocks] == [
