@@ -7,6 +7,14 @@ seed reproduces models bit for bit on one CPU and BLAS kernel. Across kernels
 (another OpenBLAS core type, or numpy's SIMD dispatch at another level) the
 float results, and so the model bytes, can differ in the last bits.
 
+Inference runs on blocks of rows: ``TrainedModel.predict_rows`` standardizes
+a block's rows at once and makes one classifier call for them, with the bits
+each row gets alone. The MLP forward pass runs on an ``(N, 1, F)`` layout, so
+every row takes the one-row matmuls of ``predict``, and the KNN ranks row by
+row. ``TrainedModel.predict`` is the one-row case. An inference forward pass
+that overflows float64 raises ``ForwardOverflowError``; none is silently
+saturated.
+
 MLP training holds every weight and bias as a view into one flat float64
 buffer and the gradients in a second buffer of the same layout, so an SGD
 step updates all parameters with two numpy calls. Each parameter still sees
@@ -32,6 +40,7 @@ from .errors import (
     EmptySplitError,
     EmptyTrainingError,
     FeatureOverflowError,
+    ForwardOverflowError,
     ModelFormatError,
     NonFiniteLossError,
     SingleClassError,
@@ -234,25 +243,46 @@ class MlpModel:
 
     def predict(self, features: np.ndarray) -> tuple[str, np.ndarray]:
         """Label with the highest probability; ties go to the lexicographically
-        smaller label. Returns the full probability row as well."""
-        probs = self.forward(np.asarray(features, dtype=np.float64)[None, :])[0]
+        smaller label. Returns the full probability row as well. This is the
+        one-row ``predict_rows``."""
+        (result,) = self.predict_rows(np.asarray(features, dtype=np.float64)[None, :])
+        return result
+
+    def predict_rows(self, matrix: np.ndarray) -> list[tuple[str, np.ndarray]]:
+        """``predict`` of each row of an ``(N, F)`` matrix in one forward pass.
+
+        The pass runs on the ``(N, 1, F)`` layout, so each row takes the same
+        one-row matmuls, and gets the same bits, as alone; the softmax runs
+        along the last axis. Raises ``ForwardOverflowError`` when the pass
+        overflows float64, which would saturate a tanh or turn a probability
+        into NaN.
+        """
+        rows = np.asarray(matrix, dtype=np.float64)[:, None, :]
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                probs = _forward(self.weights, self.biases, rows)[-1][:, 0]
+        except FloatingPointError as exc:
+            raise ForwardOverflowError(f"MLP forward pass overflows float64 ({exc})") from exc
+        return [(self._top_label(row), row) for row in probs]
+
+    def _top_label(self, probs: np.ndarray) -> str:
         best = probs.max()
-        label = min(l for l, p in zip(self.labels, probs) if p == best)
-        return label, probs
+        return min(l for l, p in zip(self.labels, probs) if p == best)
 
 
 def _forward(
     weights: list[np.ndarray], biases: list[np.ndarray], matrix: np.ndarray
 ) -> list[np.ndarray]:
-    """Every layer's activations for a batch of row vectors: the float64
-    input, each tanh hidden layer, and the softmax probabilities last."""
+    """Every layer's activations for a batch of row vectors, along the last
+    axis: the float64 input, each tanh hidden layer, and the softmax
+    probabilities last."""
     activations = [np.asarray(matrix, dtype=np.float64)]
     for w, b in zip(weights[:-1], biases[:-1]):
         activations.append(np.tanh(activations[-1] @ w + b))
     logits = activations[-1] @ weights[-1] + biases[-1]
     # The reductions behind ``.max()`` and ``.sum()``, without their wrappers.
-    exp = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
-    activations.append(exp / np.add.reduce(exp, axis=1, keepdims=True))
+    exp = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
+    activations.append(exp / np.add.reduce(exp, axis=-1, keepdims=True))
     return activations
 
 
@@ -433,7 +463,8 @@ def evaluate(model, samples: list[LabeledSample]) -> tuple[ConfusionMatrix, floa
     ``model`` is anything with ``label_set`` and ``predict`` (KnnModel,
     MlpModel, TrainedModel). Raises ``UnknownLabelError`` for a sample label
     the model was not trained on, and passes on the model's
-    ``FeatureOverflowError`` with the sample's source.
+    ``FeatureOverflowError`` or ``ForwardOverflowError`` with the sample's
+    source.
     """
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
@@ -445,8 +476,8 @@ def evaluate(model, samples: list[LabeledSample]) -> tuple[ConfusionMatrix, floa
             raise UnknownLabelError(f"label {sample.label!r} not in {labels}")
         try:
             predicted, _ = model.predict(sample.features)
-        except FeatureOverflowError as exc:
-            raise FeatureOverflowError(f"sample {sample.source}: {exc}") from exc
+        except (FeatureOverflowError, ForwardOverflowError) as exc:
+            raise type(exc)(f"sample {sample.source}: {exc}") from exc
         counts[index[sample.label], index[predicted]] += 1
     matrix = ConfusionMatrix(labels=labels, counts=counts)
     return matrix, matrix.accuracy
@@ -473,11 +504,22 @@ class TrainedModel:
 
     def predict(self, raw_features: np.ndarray) -> tuple[str, float]:
         """Standardize raw features and classify; score is the vote fraction
-        (KNN) or the predicted class probability (MLP)."""
-        label, row = self.classifier.predict(self.standardizer.apply(raw_features))
-        if isinstance(self.classifier, KnnModel):
-            return label, row[label] / self.classifier.k
-        return label, float(row.max())
+        (KNN) or the predicted class probability (MLP). This is the one-row
+        ``predict_rows``."""
+        (result,) = self.predict_rows(np.asarray(raw_features, dtype=np.float64)[None, :])
+        return result
+
+    def predict_rows(self, raw_features: np.ndarray) -> list[tuple[str, float]]:
+        """``predict`` of each row of an ``(N, F)`` matrix of raw features, in
+        one call: the rows are standardized at once, and each gets the same
+        bits as alone. The KNN ranks row by row; the MLP runs one forward pass
+        (see ``MlpModel.predict_rows``), which raises ``ForwardOverflowError``
+        if it overflows."""
+        matrix = self.standardizer.apply(raw_features)
+        model = self.classifier
+        if isinstance(model, KnnModel):
+            return [(label, votes[label] / model.k) for label, votes in map(model.predict, matrix)]
+        return [(label, float(probs.max())) for label, probs in model.predict_rows(matrix)]
 
     def to_document(self) -> dict:
         model = self.classifier

@@ -31,6 +31,7 @@ from .classify import (
 from .diagnostics import detect_secondary_blobs
 from .errors import (
     FeatureOverflowError,
+    ForwardOverflowError,
     MhiError,
     NonFiniteLossError,
     SingleClassError,
@@ -46,7 +47,7 @@ from .imgio import (
     write_pgm_file,
 )
 from .imgproc import require_theta
-from .moments import FEATURE_DIM, LabeledSample, feature_vectors
+from .moments import FEATURE_DIM, LabeledSample, stack_features
 from .synth import generate, parse_specs
 from .temporal import (
     build_template,
@@ -173,13 +174,15 @@ def extract_samples(manifest: str, theta: float, tau: int) -> list[LabeledSample
     samples = []
     clips = iter(records)
     for block in pack_templates(windows(), tau):
-        for (first, last), features in zip(block.spans, feature_vectors(block.mhi, block.mei)):
+        features, moving = stack_features(block.stack)
+        rows = iter(features)
+        for (first, last), has_motion in zip(block.spans, moving):
             record = next(clips)
-            if features is None:
+            if not has_motion:
                 log.warning("sequence %s: no motion, skipped", record.dir)
                 continue
             samples.append(LabeledSample(
-                features=features,
+                features=next(rows),
                 label=record.label or "",
                 source=f"{record.dir}:{first}-{last}",
             ))
@@ -241,18 +244,22 @@ def cmd_train(args) -> int:
         classifier = train_mlp(standardized(train), standardized(val), cfg)
     model = TrainedModel(tau=args.tau, theta=args.theta, standardizer=standardizer,
                          classifier=classifier)
-    model.save(args.out)
-
-    report = "".join(
-        (
-            f"classifier: {args.classifier}\n",
-            f"labels: {','.join(model.label_set)}\n",
-            f"samples: train={len(train)} val={len(val)} test={len(test)}\n\n",
-            _confusion_section("train", model, train), "\n",
-            _confusion_section("val", model, val), "\n",
-            _confusion_section("test", model, test),
+    # The report is made first, so a model that cannot classify its own
+    # samples is never written.
+    try:
+        report = "".join(
+            (
+                f"classifier: {args.classifier}\n",
+                f"labels: {','.join(model.label_set)}\n",
+                f"samples: train={len(train)} val={len(val)} test={len(test)}\n\n",
+                _confusion_section("train", model, train), "\n",
+                _confusion_section("val", model, val), "\n",
+                _confusion_section("test", model, test),
+            )
         )
-    )
+    except ForwardOverflowError as exc:
+        raise NonFiniteLossError(f"{source}: training diverged: {exc}") from exc
+    model.save(args.out)
     report_path = args.report or os.path.splitext(args.out)[0] + ".report.txt"
     _write_out(report_path, report)
     log.info("model written to %s, report to %s", args.out, report_path)
@@ -269,6 +276,8 @@ def cmd_eval(args) -> int:
         matrix, _ = evaluate(model, samples)
     except (UnknownLabelError, FeatureOverflowError) as exc:
         raise MhiError(f"{args.features}: {exc}") from exc
+    except ForwardOverflowError as exc:
+        raise MhiError(f"{args.model}: {exc}") from exc
     _write_out(args.out, matrix.to_csv())
     return 0
 
@@ -286,11 +295,11 @@ def predict_windows(
     Windows start every ``stride`` frames; the trailing full window is always
     included so the end of the sequence is covered. Windows without motion get
     label "none" with score 0. Each entry carries the secondary-blob
-    diagnostic of its motion-energy image. Features and diagnostics are
-    computed per block of windows; only the classifier runs window by window.
-    ``seq.frames`` may be a stream such as ``read_frames`` yields: the
-    windows are laid out from the record's length, and frames are drawn as
-    the windows reach them.
+    diagnostic of its motion-energy image. Features, diagnostics and the
+    classifier run once per block of windows, each window with the bits it
+    gets alone. ``seq.frames`` may be a stream such as ``read_frames``
+    yields: the windows are laid out from the record's length, and frames are
+    drawn as the windows reach them.
     """
     n = len(seq)
     if n < 2:
@@ -305,10 +314,11 @@ def predict_windows(
 
     entries = []
     for block in window_templates(seq, model.theta, model.tau, size, starts):
-        features = feature_vectors(block.mhi, block.mei)
+        features, moving = stack_features(block.stack)
+        results = iter(model.predict_rows(features))
         blobs = detect_secondary_blobs(block.mei)
-        for (_, end), vector, blob in zip(block.spans, features, blobs):
-            label, score = ("none", 0.0) if vector is None else model.predict(vector)
+        for (_, end), has_motion, blob in zip(block.spans, moving, blobs):
+            label, score = next(results) if has_motion else ("none", 0.0)
             entries.append({
                 "start_frame": end - size + 1,
                 "end_frame": end,
@@ -330,7 +340,10 @@ def _frame_stream(directory: str) -> FrameSequence:
 
 def cmd_predict(args) -> int:
     model = TrainedModel.load(args.model, FEATURE_DIM)
-    entries = predict_windows(model, _frame_stream(args.frames), args.window, args.stride)
+    try:
+        entries = predict_windows(model, _frame_stream(args.frames), args.window, args.stride)
+    except ForwardOverflowError as exc:
+        raise MhiError(f"{args.model}: {exc}") from exc
     _write_out(args.out, serialize.dumps(entries) + "\n")
     return 0
 

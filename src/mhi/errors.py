@@ -96,6 +96,11 @@ class SingleClassError(MhiError):
     """Classifier training needs at least two distinct labels."""
 
 
+class ForwardOverflowError(MhiError):
+    """An MLP forward pass overflows float64: the weights are too large for
+    the inputs, as after training with a huge learning rate."""
+
+
 class NonFiniteLossError(MhiError):
     """Training loss became NaN/inf; usually the learning rate is too high."""
 

@@ -13,12 +13,15 @@ The classifier feature vector concatenates those eight invariants for the MHI
 entries total, each passed through a signed log to tame the many decades the
 raw invariants span.
 
-Moments are computed for a ``(B, H, W)`` stack at once, in the float
-operations and order of one image at a time, so a feature vector has the same
-bits whatever block it was computed in; ``feature_vector`` is the one-window
-case. Only the per-window scalar tail (nu, Hu, I8, signed log) runs window by
-window, since numpy's array ``**`` can differ from Python's float ``**`` in
-the last bit.
+Moments are computed for a whole stack at once, in the float operations and
+order of one image at a time, so a feature vector has the same bits whatever
+block it was computed in. The feature stage takes a template block's one
+``(2B, H, W)`` stack, its B MHIs followed by their B MEIs, and makes one raw
+and one central ``_moment_table`` call over all ``2B`` images.
+``feature_vector`` is the one-window case. Only the per-window scalar tail
+(nu, Hu, I8) runs window by window, in Python floats, since numpy's array
+``**`` can differ from Python's float ``**`` in the last bit; the signed log
+then runs once on the block's ``(B', 16)`` matrix of windows with motion.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from .temporal import TemporalTemplate
 
 #: Orders used throughout: all (i, j) with i + j <= 3.
 MOMENT_ORDERS = [(i, j) for s in range(4) for i in range(s + 1) for j in (s - i,)]
+
+# The orders of nu and the invariants: 2 <= i + j <= 3, in MOMENT_ORDERS order.
+_NU_ORDERS = MOMENT_ORDERS[3:]
 
 # The column and row power of each MOMENT_ORDERS entry.
 _COLUMN_POWER = [i for i, _ in MOMENT_ORDERS]
@@ -91,6 +97,27 @@ def _moment_table(imgs: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     return (rows[:, _ROW_POWER] @ xs[..., _COLUMN_POWER, :, None])[:, :, 0, 0]
 
 
+def _moments(imgs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Raw moments ``(N, 10)``, centroid columns and rows ``(N,)`` each, and
+    central moments ``(N, 10)`` of each image of a float64 ``(N, H, W)`` stack,
+    in ``MOMENT_ORDERS`` order: one raw and one central ``_moment_table`` call."""
+    _, height, width = imgs.shape
+    xs, ys = _coordinate_powers(width), _coordinate_powers(height)
+    raw = _moment_table(imgs, xs, ys)
+    m00 = raw[:, 0]
+    mass = np.where(m00 != 0.0, m00, 1.0)  # a zero-mass image is dropped by the caller
+    xbar = raw[:, MOMENT_ORDERS.index((1, 0))] / mass
+    ybar = raw[:, MOMENT_ORDERS.index((0, 1))] / mass
+    mu = _moment_table(imgs, _powers(xs[1] - xbar[:, None]), _powers(ys[1] - ybar[:, None]))
+    return raw, xbar, ybar, mu
+
+
+def _nu(m00: float, mu_row: list[float]) -> list[float]:
+    """nu_pq of the orders ``_NU_ORDERS`` from Python-float moments, so each
+    takes Python's scalar ``**``."""
+    return [mu / m00 ** (1.0 + (p + q) / 2.0) for (p, q), mu in zip(_NU_ORDERS, mu_row[3:])]
+
+
 def stack_moments(imgs: np.ndarray) -> list[MomentSet | None]:
     """All moments of order <= 3 of each image of a ``(B, H, W)`` stack.
 
@@ -98,31 +125,15 @@ def stack_moments(imgs: np.ndarray) -> list[MomentSet | None]:
     2 <= p+q <= 3 only; first-order nu are identically zero by construction
     and order-zero is always 1.
     """
-    imgs = np.asarray(imgs, dtype=np.float64)
-    _, height, width = imgs.shape
-    xs, ys = _coordinate_powers(width), _coordinate_powers(height)
-    raw = _moment_table(imgs, xs, ys)
-    m00 = raw[:, 0]
-    mass = np.where(m00 != 0.0, m00, 1.0)  # a zero-mass image is dropped below
-    xbar = raw[:, MOMENT_ORDERS.index((1, 0))] / mass
-    ybar = raw[:, MOMENT_ORDERS.index((0, 1))] / mass
-    mu = _moment_table(imgs, _powers(xs[1] - xbar[:, None]), _powers(ys[1] - ybar[:, None]))
-
+    raw, xbar, ybar, mu = _moments(np.asarray(imgs, dtype=np.float64))
     sets = []
-    # Python floats from here on, so nu takes Python's scalar ``**``.
     for raw_row, cx, cy, mu_row in zip(raw.tolist(), xbar.tolist(), ybar.tolist(), mu.tolist()):
-        m00 = raw_row[0]
-        if m00 == 0.0:
+        if raw_row[0] == 0.0:
             sets.append(None)
             continue
-        mus = dict(zip(MOMENT_ORDERS, mu_row))
-        nu = {
-            (p, q): mus[(p, q)] / m00 ** (1.0 + (p + q) / 2.0)
-            for p, q in MOMENT_ORDERS
-            if 2 <= p + q <= 3
-        }
         sets.append(MomentSet(raw=dict(zip(MOMENT_ORDERS, raw_row)), centroid=(cx, cy),
-                              mu=mus, nu=nu))
+                              mu=dict(zip(MOMENT_ORDERS, mu_row)),
+                              nu=dict(zip(_NU_ORDERS, _nu(raw_row[0], mu_row)))))
     return sets
 
 
@@ -137,11 +148,9 @@ def scale_invariant_moments(img: np.ndarray) -> MomentSet:
     return ms
 
 
-def hu_moments(ms: MomentSet) -> np.ndarray:
-    """The seven Hu invariants, built from the scale-invariant moments."""
-    n = ms.nu
-    n20, n11, n02 = n[(2, 0)], n[(1, 1)], n[(0, 2)]
-    n30, n21, n12, n03 = n[(3, 0)], n[(2, 1)], n[(1, 2)], n[(0, 3)]
+def _hu_i8(nu: list[float]) -> list[float]:
+    """The seven Hu invariants and the Flusser I8 of the nu_pq of ``_NU_ORDERS``."""
+    n02, n11, n20, n03, n12, n21, n30 = nu
 
     a = n30 + n12          # first-order x projection of third-order moments
     b = n21 + n03
@@ -155,15 +164,22 @@ def hu_moments(ms: MomentSet) -> np.ndarray:
     h5 = c * a * (a**2 - 3.0 * b**2) + d * b * (3.0 * a**2 - b**2)
     h6 = (n20 - n02) * (a**2 - b**2) + 4.0 * n11 * a * b
     h7 = d * a * (a**2 - 3.0 * b**2) - c * b * (3.0 * a**2 - b**2)
-    return np.array([h1, h2, h3, h4, h5, h6, h7])
+    i8 = n11 * (a**2 - b**2) - (n20 - n02) * a * b
+    return [h1, h2, h3, h4, h5, h6, h7, i8]
+
+
+def _invariants(ms: MomentSet) -> list[float]:
+    return _hu_i8([ms.nu[k] for k in _NU_ORDERS])
+
+
+def hu_moments(ms: MomentSet) -> np.ndarray:
+    """The seven Hu invariants, built from the scale-invariant moments."""
+    return np.array(_invariants(ms)[:7])
 
 
 def flusser_i8(ms: MomentSet) -> float:
     """Independent third-order invariant that completes the Hu set."""
-    n = ms.nu
-    a = n[(3, 0)] + n[(1, 2)]
-    b = n[(0, 3)] + n[(2, 1)]
-    return n[(1, 1)] * (a**2 - b**2) - (n[(2, 0)] - n[(0, 2)]) * a * b
+    return _invariants(ms)[7]
 
 
 def signed_log(values: np.ndarray) -> np.ndarray:
@@ -172,37 +188,41 @@ def signed_log(values: np.ndarray) -> np.ndarray:
     return np.sign(values) * np.log10(1.0 + np.abs(values) / LOG_EPS)
 
 
-def _invariants(ms: MomentSet) -> np.ndarray:
-    return np.append(hu_moments(ms), flusser_i8(ms))
-
-
 def invariants(img: np.ndarray) -> np.ndarray:
     """The eight raw invariants [h1..h7, i8] of one raster."""
-    return _invariants(scale_invariant_moments(img))
+    return np.array(_invariants(scale_invariant_moments(img)))
 
 
-def feature_vectors(mhi: np.ndarray, mei: np.ndarray) -> list[np.ndarray | None]:
-    """16-entry feature vector of each window of a block of templates.
+def stack_features(stack: np.ndarray) -> tuple[np.ndarray, list[bool]]:
+    """Feature vectors of the windows of a ``(2B, H, W)`` template stack.
 
-    ``mhi`` and ``mei`` are the block's ``(B, H, W)`` stacks. Layout:
-    signed-log of [h1..h7, i8] on the MHI followed by the same eight on the
-    MEI. A window that recorded no motion at all gets ``None``.
+    ``stack`` holds B MHIs followed by their B MEIs, as a ``TemplateBlock``'s
+    stack does. Returns the ``(B', 16)`` matrix of the B' windows with motion,
+    in order, and for each of the B windows whether it has motion: a window
+    whose MHI or MEI has zero mass has none and gets no row. Layout of a row:
+    signed-log of [h1..h7, i8] on the MHI followed by the same eight on the MEI.
     """
-    return [
-        None if on_mhi is None or on_mei is None
-        else signed_log(np.concatenate([_invariants(on_mhi), _invariants(on_mei)]))
-        for on_mhi, on_mei in zip(stack_moments(mhi), stack_moments(mei))
-    ]
+    count = len(stack) // 2
+    raw, _, _, mu = _moments(np.asarray(stack, dtype=np.float64))
+    # Python floats from here on, so nu takes Python's scalar ``**``.
+    m00, mu = raw[:, 0].tolist(), mu.tolist()
+    rows, moving = [], []
+    for i in range(count):
+        j = count + i  # the window's MEI
+        moving.append(m00[i] != 0.0 and m00[j] != 0.0)
+        if moving[-1]:
+            rows.append(_hu_i8(_nu(m00[i], mu[i])) + _hu_i8(_nu(m00[j], mu[j])))
+    return signed_log(np.array(rows, dtype=np.float64).reshape(-1, FEATURE_DIM)), moving
 
 
 def feature_vector(template: TemporalTemplate) -> np.ndarray:
-    """16-entry feature vector of one template: the one-window ``feature_vectors``.
+    """16-entry feature vector of one template: the one-window ``stack_features``.
 
     Raises ``NoMotionError`` when the template recorded no motion at all;
     callers decide whether to skip the window or report it.
     """
-    mhi, mei = np.asarray(template.mhi), np.asarray(template.mei)
-    (features,) = feature_vectors(mhi[None], mei[None])
-    if features is None:
+    stack = np.stack([template.mhi, template.mei], dtype=np.float64)
+    features, (has_motion,) = stack_features(stack)
+    if not has_motion:
         raise NoMotionError("template has no motion support")
-    return features
+    return features[0]

@@ -46,8 +46,12 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [dumps(item, indent + 2) for item in obj]
-        return "[\n" + ",\n".join(inner + i for i in items) + "\n" + pad + "]"
+        if all(type(item) is float for item in obj):
+            # A list of floats, such as a weight row, in one join.
+            items = map(format_float, obj)
+        else:
+            items = (dumps(item, indent + 2) for item in obj)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -26,18 +26,21 @@ than read again, and the mask stage reuses one set of scratch buffers from
 block to block (see ``imgproc``).
 
 ``pack_templates`` turns history windows into templates in blocks of ``B``:
-a ``TemplateBlock`` holds ``(B, H, W)`` MHI and MEI stacks, so the moment
-and blob stages downstream run once per block, not once per window. The
-windows of one block may come from one video, as ``predict``'s sliding
-windows do, or from many clips of one frame shape, as the whole-clip
+a ``TemplateBlock`` holds one ``(2B, H, W)`` float64 stack, the ``B`` MHIs
+followed by their ``B`` MEIs as 0.0/1.0, so the moment stage runs once per
+block on all ``2B`` images, and the blob stage once on the block's uint8 MEI
+stack. The windows of one block may come from one video, as ``predict``'s
+sliding windows do, or from many clips of one frame shape, as the whole-clip
 templates of ``extract`` do. ``B`` is at most 8 and holds each float64 MHI
-stack to at most 1 MiB (8 windows up to 128x128, 2 at 256x256, 1 above
-362x362). A video is thus processed holding one mask block of frames and
-one template block at a time: memory bounded by the frame size, whatever
-the video's length or the number of windows. The one-window twin of a
-block, ``TemporalTemplate``, which ``build_template`` returns, holds the
-float64 MHI array ``mhi``, the uint8 MEI ``mei``, the window's
-``frame_span`` and its ``tau``.
+half of the stack to at most 1 MiB (8 windows up to 128x128, 2 at 256x256,
+1 above 362x362). ``pack_templates`` writes every block into the same
+buffers, so a yielded block is valid until the next one is drawn, as the
+``last`` of ``fold_history`` is. A video is thus processed holding one mask
+block of frames and one template block at a time: memory bounded by the
+frame size, whatever the video's length or the number of windows. The
+one-window twin of a block, ``TemporalTemplate``, which ``build_template``
+returns, holds the float64 MHI array ``mhi``, the uint8 MEI ``mei``, the
+window's ``frame_span`` and its ``tau``.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ from .imgproc import frame_diff, gaussian_smooth, morph_open, scratch
 # Frames per motion_masks call; consecutive blocks share one frame.
 _BLOCK = 32
 
-# Windows per TemplateBlock, and float64 values per (B, H, W) MHI stack (1 MiB).
+# Windows per TemplateBlock, and float64 values per (B, H, W) MHI half of its
+# stack (1 MiB).
 _BLOCK_WINDOWS = 8
 _BLOCK_VALUES = 2**17
 
@@ -76,13 +80,21 @@ class TemporalTemplate:
 
 @dataclass
 class TemplateBlock:
-    """Templates of B windows, from one video or from consecutive clips:
-    ``(B, H, W)`` float64 MHI values and uint8 MEI stacks, with each window's
-    absolute frame span."""
+    """Templates of B windows, from one video or from consecutive clips.
 
-    mhi: np.ndarray
+    ``stack`` is the ``(2B, H, W)`` float64 stack of the B MHIs followed by
+    their B MEIs as 0.0/1.0; ``mhi`` is its first half, ``mei`` the same MEIs
+    as a ``(B, H, W)`` uint8 stack, and ``spans`` each window's absolute frame
+    span. A block from ``pack_templates`` is valid until the next one is drawn.
+    """
+
     mei: np.ndarray
     spans: list[tuple[int, int]]
+    stack: np.ndarray
+
+    @property
+    def mhi(self) -> np.ndarray:
+        return self.stack[: len(self.spans)]
 
 
 def mhi_step(values: np.ndarray, mask: np.ndarray, tau: int) -> np.ndarray:
@@ -204,13 +216,18 @@ def pack_templates(windows, tau: int):
     share a block of at most ``block_size(shape)`` windows; a window of
     another shape starts a new block. If drawing a window raises, the windows
     drawn before it still come out in a block before the error propagates.
+
+    Every block of one frame shape is written into the same stack, which
+    also holds the ages of the windows being gathered, so a block is valid
+    until the next one is drawn; copy what must outlive it.
     """
     windows = iter(windows)
-    ages = steps = None
+    ages = steps = stack = None
     spans = []
 
     def block():
-        return _template_block(ages[: len(spans)], steps[: len(spans)], tau, spans)
+        count = len(spans)
+        return _template_block(ages[:count], steps[:count], tau, spans, stack[: 2 * count])
 
     while True:
         try:
@@ -226,8 +243,13 @@ def pack_templates(windows, tau: int):
             yield block()
             spans = []
         if ages is None or last.shape != ages.shape[1:]:
-            ages = np.empty((block_size(last.shape), *last.shape), dtype=np.int32)
-            steps = np.empty((len(ages), 1, 1), dtype=np.int32)
+            size = block_size(last.shape)
+            stack = np.empty((2 * size, *last.shape), dtype=np.float64)
+            # The int32 ages fill the first half of the bytes of the MEI half,
+            # which ``_template_block`` writes only after it has read them.
+            ages = stack[size:].view(np.int32).reshape(-1)[: stack[size:].size]
+            ages = ages.reshape(size, *last.shape)
+            steps = np.empty((size, 1, 1), dtype=np.int32)
         np.subtract(t, last, out=ages[len(spans)])
         steps[len(spans)] = window_steps
         spans.append(span)
@@ -242,14 +264,20 @@ def window_templates(seq: FrameSequence, theta: float, tau: int, size: int, star
     return pack_templates(fold_history(seq, theta, tau, size, starts), tau)
 
 
-def _template_block(ages: np.ndarray, steps: np.ndarray, tau: int, spans) -> TemplateBlock:
+def _template_block(ages: np.ndarray, steps: np.ndarray, tau: int, spans,
+                    stack: np.ndarray) -> TemplateBlock:
+    """The block of ``len(ages)`` windows, written into ``stack``: the MHIs
+    into its first half and the MEIs, as 0.0/1.0, into its second. ``ages``
+    may lie in the bytes of the MEI half; it is read before that is written."""
     active = ages < steps
-    mhi = np.subtract(tau, ages, dtype=np.float64)
+    mhi = stack[: len(ages)]
+    np.subtract(tau, ages, out=mhi, dtype=np.float64)
     # An idle pixel's tau - age may be negative, and times 0 gives -0.0;
     # adding +0.0 turns that into 0.0 and leaves every other value as it is.
     mhi *= active
     mhi += 0.0
-    return TemplateBlock(mhi, active.view(np.uint8), spans)
+    stack[len(ages) :] = active
+    return TemplateBlock(active.view(np.uint8), spans, stack)
 
 
 def build_template(seq: FrameSequence, theta: float, tau: int) -> TemporalTemplate:
@@ -259,7 +287,8 @@ def build_template(seq: FrameSequence, theta: float, tau: int) -> TemporalTempla
     sequence longer than the window contributes just its most recent motion.
     The MEI is the pixelwise OR of those same masks, which makes its support
     exactly the set of pixels the MHI ever saw active. The template is the
-    one-clip case of ``pack_templates``.
+    one-clip case of ``pack_templates``, so its arrays are views into that
+    block's stack.
     """
     block = next(pack_templates([clip_history(seq, theta, tau)], tau))
     return TemporalTemplate(block.mhi[0], block.mei[0], block.spans[0], tau)

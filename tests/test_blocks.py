@@ -6,12 +6,18 @@ The sliding windows are folded from frames handed over one by one, as
 ``predict`` reads them, and ``extract`` reads its clips' frames that way too.
 These tests hold every window of every block to oracles that see one window
 alone: the literal ``yc[q] @ img @ xc[p]`` moment formulas and a pure-Python
-flood fill, and every ``extract`` row to ``feature_vector(build_template(seq))``
-of its clip alone. The kernel test reruns the comparisons in child processes
+flood fill, every ``extract`` row to ``feature_vector(build_template(seq))``
+of its clip alone, and every ``predict`` entry, whose block tail classifies a
+block's windows in one call, to ``build_template`` -> ``feature_vector`` ->
+``TrainedModel.predict`` / ``detect_secondary_blob`` on its window alone,
+score bits included. The kernel test reruns the comparisons in child processes
 under other BLAS and SIMD kernels, together with small ``train_mlp`` runs held
 to the former training loop.
 """
 
+import copy
+import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -28,9 +34,9 @@ from hypothesis import strategies as st
 
 import mhi
 from mhi import temporal
-from mhi.classify import MlpConfig
-from mhi.cli import extract_samples
-from mhi.diagnostics import detect_secondary_blobs
+from mhi.classify import KnnModel, MlpConfig, Standardizer, TrainedModel, train_mlp
+from mhi.cli import extract_samples, predict_windows
+from mhi.diagnostics import detect_secondary_blob, detect_secondary_blobs
 from mhi.errors import NoMotionError
 from mhi.imgio import (
     FrameSequence,
@@ -41,12 +47,13 @@ from mhi.imgio import (
 )
 from mhi.moments import (
     MOMENT_ORDERS,
+    LabeledSample,
     MomentSet,
     feature_vector,
-    feature_vectors,
     flusser_i8,
     hu_moments,
     signed_log,
+    stack_features,
     stack_moments,
 )
 from mhi.temporal import _BLOCK, build_template, motion_masks, window_templates
@@ -102,18 +109,27 @@ def video_with_still(rng, n, h, w, still_from, still_len):
 
 
 def window_blocks(frames, size, tau, starts, per_block):
-    # The frames are handed over one by one, as ``predict`` reads them.
+    # The frames are handed over one by one, as ``predict`` reads them. A
+    # block is valid until the next one is drawn, so each is copied as drawn.
     seq = FrameSequence(iter(list(frames)), SequenceRecord("clip", 0, len(frames) - 1))
     with mock.patch.multiple(temporal, _BLOCK_WINDOWS=per_block,
                              _BLOCK_VALUES=per_block * frames[0].size):
-        return list(window_templates(seq, THETA, tau, size, starts))
+        return [copy.deepcopy(b) for b in window_templates(seq, THETA, tau, size, starts)]
+
+
+def block_features(stack):
+    """``stack_features`` of a block's stack, as ``predict`` calls it, with
+    None for each window without motion."""
+    features, moving = stack_features(stack)
+    rows = iter(features)
+    return [next(rows) if has_motion else None for has_motion in moving]
 
 
 def block_mismatches(blocks):
     """Windows whose block features or blob diagnostic differ from the oracles."""
     bad = []
     for block in blocks:
-        features = feature_vectors(block.mhi, block.mei)
+        features = block_features(block.stack)
         blobs = detect_secondary_blobs(block.mei)
         assert len(features) == len(blobs) == len(block.spans)
         for mhi, mei, span, got, blob in zip(block.mhi, block.mei, block.spans, features, blobs):
@@ -185,11 +201,114 @@ def float_stacks(draw):
 def test_stack_features_match_literal_formulas_on_real_images(stack):
     # Non-integer pixels make the raw sums round, so the order of every
     # addition shows in the bits.
-    features = feature_vectors(stack, stack > 0.5)
+    features = block_features(np.concatenate([stack, stack > 0.5], dtype=np.float64))
     for img, got in zip(stack, features):
         assert same_bits(got, literal_features(img, img > 0.5))
     for img, ms in zip(stack, stack_moments(stack)):
         assert (ms is None) == (literal_invariants(img) is None)
+
+
+SIGNED_LOG_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda count: st.lists(
+    st.one_of(st.sampled_from(SIGNED_LOG_SPECIALS),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=16 * count, max_size=16 * count)))
+@example([*SIGNED_LOG_SPECIALS, *SIGNED_LOG_SPECIALS[::-1]] * 3)
+def test_block_signed_log_matches_row_by_row(values):
+    matrix = np.array(values, dtype=np.float64).reshape(-1, 16)
+    # |f| / eps overflows to inf above about 1.8e296, in both paths alike.
+    with np.errstate(over="ignore"):
+        block = signed_log(matrix)
+        rows = [signed_log(row) for row in matrix]
+    for got, want in zip(block, rows):
+        assert got.tobytes() == want.tobytes()
+
+
+# --- predict: the block tail against one window at a time ---
+
+@functools.lru_cache(maxsize=None)
+def tail_models() -> dict:
+    """An MLP and a KNN model fitted to the window features of one blocky
+    video, labelled by window start, with a ``tau`` to be replaced."""
+    rng = np.random.Generator(np.random.PCG64(21))
+    frames = blocky_frames(rng, 40, 4, 4)
+    samples = []
+    for start in range(len(frames) - 7):
+        window = FrameSequence(frames[start : start + 8], SequenceRecord("w", start, start + 7))
+        try:
+            features = feature_vector(build_template(window, THETA, 12))
+        except NoMotionError:
+            continue
+        samples.append(LabeledSample(features, f"c{start % 3}"))
+    standardizer = Standardizer.fit(samples)
+    scaled = [LabeledSample(standardizer.apply(s.features), s.label) for s in samples]
+    classifiers = {
+        "mlp": train_mlp(scaled, [], MlpConfig(hidden=(8,), epochs=5, seed=1)),
+        "knn": KnnModel(k=3, vectors=np.stack([s.features for s in scaled]),
+                        labels=[s.label for s in scaled]),
+    }
+    return {kind: TrainedModel(tau=1, theta=THETA, standardizer=standardizer, classifier=c)
+            for kind, c in classifiers.items()}
+
+
+def window_entry(model, frames, size, start):
+    """One window alone through build_template -> feature_vector -> predict."""
+    end = start + size - 1
+    template = build_template(FrameSequence(frames[start : end + 1],
+                                            SequenceRecord("w", start, end)),
+                              model.theta, model.tau)
+    try:
+        label, score = model.predict(feature_vector(template))
+    except NoMotionError:
+        label, score = "none", 0.0
+    blob = detect_secondary_blob(template.mei)
+    return {"start_frame": start, "end_frame": end, "label": label, "score": float(score),
+            "diagnostic": {"component_count": blob.component_count, "warning": blob.warning}}
+
+
+def tail_mismatches(frames, size, tau, starts, per_block):
+    """``(model kind, start)`` of each ``predict`` entry of the MLP and KNN
+    models that differs from its window alone, score bits included, or that
+    is missing; frames are handed over one by one, in blocks of ``per_block``
+    windows, to windows at ``starts`` as ``predict`` tiles them."""
+    # The first step is the stride, or the clamp to the one trailing window.
+    stride = starts[1] - starts[0] if len(starts) > 1 else 1
+    bad = []
+    for kind, model in tail_models().items():
+        model = dataclasses.replace(model, tau=tau)
+        seq = FrameSequence(iter(list(frames)), SequenceRecord("clip", 0, len(frames) - 1))
+        with mock.patch.multiple(temporal, _BLOCK_WINDOWS=per_block,
+                                 _BLOCK_VALUES=per_block * frames[0].size):
+            entries = predict_windows(model, seq, size, stride)
+        if [entry["start_frame"] for entry in entries] != starts:
+            bad.append((kind, None))
+        for entry in entries:
+            want = window_entry(model, frames, size, entry["start_frame"])
+            if entry != want or entry["score"].hex() != want["score"].hex():
+                bad.append((kind, entry["start_frame"]))
+    return bad
+
+
+@settings(max_examples=30, deadline=None)
+@given(block_cases())
+# Blocks of 4 over 10 windows (the last block short); windows 3 and 4, the
+# last slot of the first block and the first of the second, motion-free.
+@example(_case(15, 6, 12, 1, 4, 5, 5, (3, 7), 8))
+# Motion-free windows in the first slot of the first block and the last slot
+# of the short last block (blocks of 3 over 8 windows).
+@example(_case(13, 6, 12, 1, 3, 5, 5, (0, 6), 9))
+@example(_case(13, 6, 12, 1, 3, 5, 5, (7, 6), 10))
+# One window per block, and blocks of 9 with a clamped trailing window.
+@example(_case(20, 5, 3, 1, 1, 4, 4, (8, 6), 11))
+@example(_case(2 * _BLOCK + 15, 12, 9, 2, 9, 5, 4, (20, 36), 12))
+def test_predict_entries_match_windows_alone(case):
+    rng = np.random.Generator(np.random.PCG64(case["seed"]))
+    frames = video_with_still(rng, case["n"], case["h"], case["w"], *case["still"])
+    assert tail_mismatches(frames, case["size"], case["tau"], case["starts"],
+                           case["per_block"]) == []
 
 
 # --- extract: whole-clip templates packed into blocks ---
@@ -284,8 +403,10 @@ def kernel_probe() -> dict:
     MHI/MEI stacks, blob diagnostics and the raw moments of the integer MHIs
     and MEIs are exact whatever the kernel: each raw-moment partial sum is an
     integer below 2**53. Features are not, so for them only the comparisons
-    with the oracles are returned: block against literal formulas, and each
-    ``extract`` row against its per-clip row. Trained weights are not exact
+    with the oracles are returned: block against literal formulas, each
+    ``extract`` row against its per-clip row, and, in ``tail_mismatches``,
+    the labels and score bits of each ``predict`` entry of an MLP and a KNN
+    model against its window alone. Trained weights are not exact
     either, so ``train_mismatches`` counts the small ``train_mlp`` runs whose
     model or history differs from the former training loop's in this process.
     """
@@ -295,9 +416,9 @@ def kernel_probe() -> dict:
     blocks = window_blocks(frames, 14, 12, starts, 5)
     clips = clip_frames(12, [((4, 4), length, i in (0, 7, 8, 10)) for i, length in
                              enumerate([5, 2, 9, 16, 3, 10, 7, 2, 15, 4, 20])])
-    clip_blocks = list(temporal.pack_templates(
+    clip_blocks = [copy.deepcopy(b) for b in temporal.pack_templates(
         [temporal.clip_history(FrameSequence(f, r), THETA, 12)
-         for f, r in zip(clips, clip_records(clips))], 12))
+         for f, r in zip(clips, clip_records(clips))], 12)]
     with tempfile.TemporaryDirectory() as directory:
         rows = extract_rows(directory, clips, 12)
 
@@ -314,6 +435,9 @@ def kernel_probe() -> dict:
     blobs = [[d.component_count, d.warning] for b in blocks for d in detect_secondary_blobs(b.mei)]
     return {
         "mismatches": len(block_mismatches(blocks)),
+        "tail_mismatches": len(tail_mismatches(frames, 14, 12, starts, 5))
+        # Stride 4, with the trailing window clamped to the video's end.
+        + len(tail_mismatches(frames, 9, 6, [*range(0, len(frames) - 9, 4), len(frames) - 9], 3)),
         "train_mismatches": sum(
             not training_matches_former_loop(
                 *training_samples(3, n, 5, n_val, 2.0, seed),
@@ -361,7 +485,7 @@ def run_probe(overrides: dict) -> dict:
                     reason="the kernel names are x86 OpenBLAS and numpy dispatch targets")
 def test_blocks_and_exact_stages_hold_under_other_kernels():
     results = {name: run_probe(overrides) for name, overrides in KERNELS.items()}
-    for key in ("mismatches", "clip_mismatches", "train_mismatches"):
+    for key in ("mismatches", "tail_mismatches", "clip_mismatches", "train_mismatches"):
         assert {name: r[key] for name, r in results.items()} == dict.fromkeys(KERNELS, 0), key
     assert results["default"]["clip_blocks"] == [8, 3]
     for name, result in results.items():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhi import cli, imgio, serialize, temporal
-from mhi.classify import TrainedModel
+from mhi.classify import MlpConfig, SplitSpec, Standardizer, TrainedModel, split_dataset, train_mlp
 from mhi.cli import FEATURE_HEADER, features_to_csv, main, read_features_csv
 from mhi.diagnostics import detect_secondary_blob
 from mhi.errors import NoMotionError
@@ -219,6 +219,61 @@ def test_eval_knn_distance_overflow_names_csv_and_sample(workspace, tmp_path, ca
     source = read_features_csv(path)[1].source
     assert f"{path}: sample {source}: feature f0 standardizes to" in caplog.text
     assert "for a finite distance" in caplog.text
+    assert not out.exists()
+
+
+# One SGD step whose loss is finite, but which leaves weights near 2e307: on
+# the workspace features the first hidden layer then overflows (at 1e308 it
+# stays just finite).
+HUGE_LR = ["--lr", "1.5e308", "--epochs", "1", "--batch", "100"]
+
+
+def test_train_with_overflowing_forward_exits_three(workspace, tmp_path, caplog):
+    # Any warning fails the test.
+    model = tmp_path / "m.json"
+    assert main(["train", "--features", str(workspace["feats"]), "--classifier", "mlp",
+                 *HUGE_LR, "--out", str(model)]) == 3
+    assert f"{workspace['feats']}: training diverged: sample " in caplog.text
+    assert "MLP forward pass overflows float64" in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
+def _diverged_mlp(workspace, path):
+    """The model that ``train`` with ``HUGE_LR`` wrote before it checked the
+    forward pass: the same split, standardization and one SGD step."""
+    samples = read_features_csv(str(workspace["feats"]))
+    train, val, _ = split_dataset(samples, SplitSpec(seed=0))
+    standardizer = Standardizer.fit(train)
+
+    def standardized(part):
+        return [LabeledSample(standardizer.apply(s.features), s.label, s.source) for s in part]
+
+    cfg = MlpConfig(lr=1.5e308, epochs=1, batch=100)
+    classifier = train_mlp(standardized(train), standardized(val), cfg)
+    assert max(float(np.abs(w).max()) for w in classifier.weights) > 1e306
+    TrainedModel(tau=int(TAU), theta=float(THETA), standardizer=standardizer,
+                 classifier=classifier).save(path)
+    return str(path)
+
+
+def test_eval_with_overflowing_forward_names_model(workspace, tmp_path, caplog):
+    model = _diverged_mlp(workspace, tmp_path / "diverged.json")
+    out = tmp_path / "confusion.csv"
+    assert main(["eval", "--model", model, "--features", str(workspace["feats"]),
+                 "--out", str(out)]) == 2
+    assert f"{model}: sample " in caplog.text
+    assert "MLP forward pass overflows float64" in caplog.text
+    assert not out.exists()
+
+
+def test_predict_with_overflowing_forward_names_model(workspace, tmp_path, caplog):
+    model = _diverged_mlp(workspace, tmp_path / "diverged.json")
+    out = tmp_path / "pred.json"
+    # The whole clip as one window: the sample whose forward pass overflows.
+    assert main(["predict", "--model", model, "--frames",
+                 str(workspace["clips"] / "slide_000"), "--window", "12",
+                 "--out", str(out)]) == 2
+    assert f"{model}: MLP forward pass overflows float64" in caplog.text
     assert not out.exists()
 
 

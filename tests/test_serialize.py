@@ -1,8 +1,11 @@
+import enum
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mhi.serialize import dump_bytes, dumps, format_float
 
@@ -67,3 +70,82 @@ def test_deterministic_bytes():
 def test_unserializable_type():
     with pytest.raises(TypeError):
         dumps(object())
+
+
+# --- the writer against the one it replaced ---
+
+def dumps_before(obj, indent=0):
+    """The former recursive writer, kept as the oracle of ``dumps``."""
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [dumps_before(item, indent + 2) for item in obj]
+        return "[\n" + ",\n".join(inner + i for i in items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{inner}{json.dumps(str(k))}: {dumps_before(v, indent + 2)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Tag(str):
+    pass
+
+
+def outcome(write, obj):
+    try:
+        return write(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+floats = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 5e-324, 1e308, -1e308]))
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), floats, st.text(max_size=5),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), floats.map(np.float64),
+    st.booleans().map(np.bool_), st.just(Level.LOW), st.text(max_size=3).map(Tag),
+    st.lists(floats, max_size=4).map(np.array), floats.map(np.array),
+    st.just(object()),
+)
+values = st.recursive(
+    scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(floats, max_size=8),   # the all-float path
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers(-9, 9)), children,
+                        max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(values)
+@example([1e308, 1e308, -0.0])  # the largest finite floats and a signed zero
+@example([1.0, math.nan, object()])  # the first bad item raises
+@example({"w": [[0.5, math.inf]], 3: np.array(2.5)})
+def test_dumps_matches_former_writer(obj):
+    assert outcome(dumps, obj) == outcome(dumps_before, obj)

@@ -1,5 +1,6 @@
 """MHI recurrence, template assembly, and display normalization."""
 
+import copy
 from unittest import mock
 
 import numpy as np
@@ -286,11 +287,14 @@ def test_window_templates_match_fold_oracle(case):
     if starts[-1] != n - size:
         starts.append(n - size)
     values = temporal._BLOCK_VALUES if per_block is None else per_block * frames[0].size
+    # A block is valid until the next one is drawn, so each is copied as drawn.
     with mock.patch.object(temporal, "_BLOCK_VALUES", values):
-        blocks = list(window_templates(FrameSequence(frames, record), 10.0, tau, size, starts))
+        blocks = [copy.deepcopy(b) for b in
+                  window_templates(FrameSequence(frames, record), 10.0, tau, size, starts)]
         # The frames handed over one by one, as ``read_frames`` does.
-        streamed = list(window_templates(FrameSequence(iter(list(frames)), record),
-                                         10.0, tau, size, starts))
+        streamed = [copy.deepcopy(b) for b in
+                    window_templates(FrameSequence(iter(list(frames)), record),
+                                     10.0, tau, size, starts)]
     assert [b.spans for b in streamed] == [b.spans for b in blocks]
     for got, want in zip(streamed, blocks):
         np.testing.assert_array_equal(got.mhi, want.mhi)
@@ -310,6 +314,23 @@ def test_window_templates_match_fold_oracle(case):
         assert got_mhi.dtype == mhi.dtype == np.float64
         assert got_mei.dtype == mei.dtype == np.uint8
         np.testing.assert_array_equal(got_mhi, mhi)
+        np.testing.assert_array_equal(got_mei, mei)
+        assert got_span == span
+
+
+@pytest.mark.parametrize("tau", [2**31 - 1, 2**31, 2**60])
+def test_templates_of_a_tau_past_int32_match_fold_oracle(tau):
+    # MHI values are formed in int32 up to 2**31 - 1 and in float64 above.
+    frames = blocky_frames(np.random.Generator(np.random.PCG64(14)), 20, 4, 5)
+    record = SequenceRecord("clip", 0, len(frames) - 1)
+    starts = list(range(0, len(frames) - 8 + 1, 3))
+    windows = [(mhi.copy(), mei.copy(), span)
+               for block in window_templates(FrameSequence(frames, record), 10.0, tau, 8, starts)
+               for mhi, mei, span in zip(block.mhi, block.mei, block.spans)]
+    assert len(windows) == len(starts)
+    for start, (got_mhi, got_mei, got_span) in zip(starts, windows):
+        mhi, mei, span = window_oracle(frames, 10.0, tau, 8, start, 0)
+        assert got_mhi.tobytes() == mhi.tobytes()
         np.testing.assert_array_equal(got_mei, mei)
         assert got_span == span
 
