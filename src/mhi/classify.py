@@ -19,6 +19,14 @@ MLP training holds every weight and bias as a view into one flat float64
 buffer and the gradients in a second buffer of the same layout, so an SGD
 step updates all parameters with two numpy calls. Each parameter still sees
 the same multiply and subtract, so the trained bits do not depend on it.
+The step's backprop allocates nothing: it writes activations, deltas and
+gradients into buffers made once per batch size, takes one-hot
+targets gathered once per epoch, and forms the loss only to report a
+divergence. Each of its numpy calls is a float operation of ``_forward`` or
+of a backprop on fresh arrays, so the bits are theirs. A net of more than
+``MLP_MAX_PARAMS`` weights and biases is refused before any is drawn; the
+bound counts parameters only, not the step's buffers, which grow with the
+batch.
 
 Trained models persist as a single JSON document (see ``TrainedModel``) with
 floats written as 17-significant-digit decimals, which round-trip doubles
@@ -42,6 +50,7 @@ from .errors import (
     FeatureOverflowError,
     ForwardOverflowError,
     ModelFormatError,
+    ModelSizeError,
     NonFiniteLossError,
     SingleClassError,
     StratificationError,
@@ -206,6 +215,11 @@ class KnnModel:
         return min(near, key=rank), {label: len(d) for label, d in near.items()}
 
 
+#: The most weights and biases ``train_mlp`` builds: 1 GiB of float64 at
+#: the bound, held three times (parameters, gradients, best snapshot).
+MLP_MAX_PARAMS = 2**27
+
+
 @dataclass(frozen=True)
 class MlpConfig:
     """Training hyperparameters. ``mhi train`` reads its ``--hidden``,
@@ -224,7 +238,8 @@ class MlpModel:
 
     ``weights[l]`` has shape (sizes[l], sizes[l+1]); ``biases[l]`` has shape
     (sizes[l+1],). ``val_history`` keeps per-epoch validation accuracy from
-    training and is not serialized.
+    training and ``selected_epoch`` the 1-based epoch whose snapshot the
+    weights are; neither is serialized.
     """
 
     sizes: list[int]
@@ -232,6 +247,7 @@ class MlpModel:
     biases: list[np.ndarray]
     labels: list[str]
     val_history: list[float] | None = field(default=None, repr=False)
+    selected_epoch: int | None = field(default=None, repr=False)
 
     @property
     def label_set(self) -> list[str]:
@@ -312,6 +328,87 @@ def _layer_views(
     return weights, biases
 
 
+def _step_buffers(rows: int, sizes: list[int]) -> tuple:
+    """New buffers for a backprop step on ``rows`` rows through layers of
+    ``sizes``: each layer's output (softmax probabilities last), the hidden
+    ones' ``.T`` views, a delta per hidden layer and a column for the
+    softmax's row max and sum. A step writes every element before reading
+    it, so the buffers can serve any number of steps.
+    """
+    outs = [np.empty((rows, width)) for width in sizes[1:]]
+    return (outs, [out.T for out in outs[:-1]], [np.empty_like(out) for out in outs[:-1]],
+            np.empty((rows, 1)))
+
+
+def _backprop(
+    buffers: tuple,
+    weights: list[np.ndarray],
+    weights_t: list[np.ndarray],
+    biases: list[np.ndarray],
+    matrix: np.ndarray,
+    onehot: np.ndarray,
+    mask: np.ndarray,
+    grads_w: list[np.ndarray],
+    grads_b: list[np.ndarray],
+    loss: bool = False,
+) -> float | None:
+    """The body of ``mlp_loss_and_grads`` on ``_step_buffers``, with the
+    targets as float64 ``onehot`` and bool ``mask`` rows and each weight's
+    ``.T`` view in ``weights_t``.
+
+    Each numpy call is a float operation of ``_forward`` or of a backprop on
+    fresh arrays, each product the same ``np.matmul``, written into
+    ``buffers`` or the gradients, so the bits are theirs; ``delta -=
+    onehot`` is ``delta[target] -= 1.0``, as p - 0.0 = p.
+    Returns the loss when ``loss`` is set or it is not finite, else None.
+    With probabilities in [0, 1] and a NaN spreading to its whole row, the
+    loss is not finite exactly when some target probability is not > 0.
+    Overflow shows up as inf or NaN; the caller holds the ``errstate`` that
+    silences numpy's warnings about it.
+    """
+    outs, outs_t, deltas, col = buffers
+    layer_in = matrix
+    for w, b, out in zip(weights[:-1], biases[:-1], outs):
+        np.matmul(layer_in, w, out=out)
+        np.add(out, b, out=out)
+        np.tanh(out, out=out)
+        layer_in = out
+    probs = outs[-1]
+    np.matmul(layer_in, weights[-1], out=probs)
+    np.add(probs, biases[-1], out=probs)
+    np.maximum.reduce(probs, axis=1, keepdims=True, out=col)
+    np.subtract(probs, col, out=probs)
+    np.exp(probs, out=probs)
+    np.add.reduce(probs, axis=1, keepdims=True, out=col)
+    np.divide(probs, col, out=probs)
+
+    n = matrix.shape[0]
+    value = None
+    if loss or not np.minimum.reduce(probs, axis=None, where=mask, initial=1.0) > 0:
+        # np.mean's sum and division, without its wrapper; ``probs[mask]``
+        # holds one target probability per row, in row order.
+        value = float(-(np.add.reduce(np.log(probs[mask])) / n))
+
+    # The probabilities are not needed past the loss, so they become delta.
+    delta = probs
+    np.subtract(delta, onehot, out=delta)
+    np.divide(delta, n, out=delta)
+    for layer in range(len(weights) - 1, 0, -1):
+        np.matmul(outs_t[layer - 1], delta, out=grads_w[layer])
+        np.add.reduce(delta, axis=0, out=grads_b[layer])
+        # tanh'(z) expressed through the activation itself: 1 - a^2, formed
+        # in the activation's buffer, which nothing reads after this.
+        act, back = outs[layer - 1], deltas[layer - 1]
+        np.matmul(delta, weights_t[layer], out=back)
+        np.square(act, out=act)
+        np.subtract(1.0, act, out=act)
+        np.multiply(back, act, out=back)
+        delta = back
+    np.matmul(matrix.T, delta, out=grads_w[0])
+    np.add.reduce(delta, axis=0, out=grads_b[0])
+    return value
+
+
 def mlp_loss_and_grads(
     weights: list[np.ndarray],
     biases: list[np.ndarray],
@@ -322,33 +419,26 @@ def mlp_loss_and_grads(
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean cross-entropy of a batch plus gradients for every parameter.
 
-    This is the single backprop implementation: the training loop consumes it
-    directly, so a finite-difference check of this function validates the
-    gradients the optimizer actually uses. The gradients are written into
-    ``grads_w`` and ``grads_b`` (arrays shaped like the weights and biases)
-    when given, and into new arrays otherwise; both lists are returned.
+    This is the single backprop implementation: ``train_mlp`` runs its core,
+    ``_backprop``, directly, so a finite-difference check of this function
+    validates the gradients the optimizer actually uses. The gradients are
+    written into ``grads_w`` and ``grads_b`` (arrays shaped like the weights
+    and biases) when given, and into new arrays otherwise; both lists are
+    returned. A diverged batch returns an inf or NaN loss without a numpy
+    warning.
     """
     if grads_w is None or grads_b is None:
         grads_w = [np.empty_like(w) for w in weights]
         grads_b = [np.empty_like(b) for b in biases]
+    matrix = np.asarray(matrix, dtype=np.float64)
     n = matrix.shape[0]
-    target = (np.arange(n), target_idx)
-    # Divergence shows up as inf/nan here and is reported through the loss
-    # (train_mlp raises NonFiniteLossError), so numpy's warnings add nothing.
+    sizes = [matrix.shape[1], *(w.shape[1] for w in weights)]
+    mask = np.zeros((n, sizes[-1]), dtype=bool)
+    mask[np.arange(n), target_idx] = True
+    buffers = _step_buffers(n, sizes)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        *activations, delta = _forward(weights, biases, matrix)
-        # np.mean's sum and division, without its wrapper.
-        loss = float(-(np.add.reduce(np.log(delta[target])) / n))
-
-    # The probabilities are not needed past the loss, so they become delta.
-    delta[target] -= 1.0
-    delta /= n
-    for layer in range(len(weights) - 1, -1, -1):
-        np.matmul(activations[layer].T, delta, out=grads_w[layer])
-        np.add.reduce(delta, axis=0, out=grads_b[layer])
-        if layer > 0:
-            # tanh'(z) expressed through the activation itself: 1 - a^2.
-            delta = (delta @ weights[layer].T) * (1.0 - activations[layer] ** 2)
+        loss = _backprop(buffers, weights, [w.T for w in weights], biases, matrix,
+                         mask.astype(np.float64), mask, grads_w, grads_b, loss=True)
     return loss, grads_w, grads_b
 
 
@@ -364,14 +454,23 @@ def train_mlp(
     records accuracy on ``val``; the returned model is the snapshot of the
     epoch with the best validation accuracy (earliest on ties). With an empty
     ``val`` the training accuracy is used for selection instead. Raises
-    ``SingleClassError`` for fewer than two training classes and
+    ``SingleClassError`` for fewer than two training classes,
+    ``ModelSizeError`` before any weight is drawn when the net would have
+    more than ``MLP_MAX_PARAMS`` weights and biases, and
     ``NonFiniteLossError`` if the loss diverges.
 
     All weights and biases are views into one flat ``params`` buffer, and
-    ``mlp_loss_and_grads`` writes the gradients into views of a ``grads``
-    buffer of the same layout, so each step's update ``p -= lr * g`` runs as
-    two whole-buffer operations. It is the same multiply and subtract per
+    the backprop core writes the gradients into views of a ``grads`` buffer
+    of the same layout, so each step's update ``p -= lr * g`` runs as two
+    whole-buffer operations. It is the same multiply and subtract per
     element as a layer-by-layer update, so the model is the same to the bit.
+
+    The step allocates nothing: each epoch gathers the shuffled rows and
+    one-hot targets into fixed buffers that the batches view, and the
+    activations and deltas go to one set of buffers for the full batches
+    and one for a shorter last batch. Both are sized by the rows a batch
+    holds, so a ``batch`` above the training set size allocates by that
+    size.
     """
     labels = sorted({s.label for s in train})
     if len(labels) < 2:
@@ -386,32 +485,49 @@ def train_mlp(
     x_select, y_select = encode(val or train)
 
     sizes = [x_train.shape[1], *cfg.hidden, len(labels)]
+    count = sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(sizes[:-1], sizes[1:]))
+    if count > MLP_MAX_PARAMS:
+        raise ModelSizeError(f"layer sizes {sizes} need {count} weights and biases, "
+                             f"more than the {MLP_MAX_PARAMS} that training allows")
     rng = _rng(cfg.seed)
     # One stream drives both init and epoch shuffling, consumed in fixed order.
-    init_w, init_b = mlp_init(sizes, rng)
-    params = np.concatenate([p.ravel() for layer in zip(init_w, init_b) for p in layer])
+    params = np.concatenate([p.ravel() for layer in zip(*mlp_init(sizes, rng)) for p in layer])
     weights, biases = _layer_views(params, sizes)
+    weights_t = [w.T for w in weights]
     grads = np.empty_like(params)
     grads_w, grads_b = _layer_views(grads, sizes)
 
     best_acc = -1.0
     best = params.copy()
+    selected = 0
     history: list[float] = []
 
     n = x_train.shape[0]
+    mask_train = np.eye(len(labels), dtype=bool)[y_train]
+    onehot_train = mask_train.astype(np.float64)
+    x_epoch, onehot_epoch, mask_epoch = (np.empty_like(a) for a in
+                                         (x_train, onehot_train, mask_train))
+    starts = range(0, n, cfg.batch)
+    rows, last_rows = min(cfg.batch, n), n - starts[-1]
+    full = _step_buffers(rows, sizes)
+    last = full if last_rows == rows else _step_buffers(last_rows, sizes)
+    batches = [
+        (x_epoch[start:start + rows], onehot_epoch[start:start + rows],
+         mask_epoch[start:start + rows], last if start == starts[-1] else full)
+        for start in starts
+    ]
     # A huge learning rate can overflow the update or the backward pass; the
     # next step's loss then reports it, so numpy's warnings add nothing.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
             order = rng.permutation(n)
-            x_epoch, y_epoch = x_train[order], y_train[order]
-            for start in range(0, n, cfg.batch):
-                stop = start + cfg.batch
-                loss, _, _ = mlp_loss_and_grads(
-                    weights, biases, x_epoch[start:stop], y_epoch[start:stop],
-                    grads_w, grads_b,
-                )
-                if not math.isfinite(loss):
+            for source, epoch in ((x_train, x_epoch), (onehot_train, onehot_epoch),
+                                  (mask_train, mask_epoch)):
+                np.take(source, order, axis=0, out=epoch)
+            for x, onehot, mask, buffers in batches:
+                loss = _backprop(buffers, weights, weights_t, biases, x, onehot, mask,
+                                 grads_w, grads_b)
+                if loss is not None:
                     raise NonFiniteLossError(f"loss diverged to {loss}")
                 grads *= cfg.lr
                 params -= grads
@@ -422,6 +538,7 @@ def train_mlp(
             if acc > best_acc:
                 best_acc = acc
                 best = params.copy()
+                selected = len(history)
 
     best_weights, best_biases = _layer_views(best, sizes)
     return MlpModel(
@@ -430,6 +547,7 @@ def train_mlp(
         biases=best_biases,
         labels=labels,
         val_history=history,
+        selected_epoch=selected,
     )
 
 

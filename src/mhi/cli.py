@@ -33,6 +33,7 @@ from .errors import (
     FeatureOverflowError,
     ForwardOverflowError,
     MhiError,
+    ModelSizeError,
     NonFiniteLossError,
     SingleClassError,
     SynthSpecError,
@@ -241,7 +242,14 @@ def cmd_train(args) -> int:
             hidden=args.hidden, lr=args.lr, epochs=args.epochs,
             batch=args.batch, seed=args.seed,
         )
-        classifier = train_mlp(standardized(train), standardized(val), cfg)
+        try:
+            classifier = train_mlp(standardized(train), standardized(val), cfg)
+        except ModelSizeError as exc:
+            hidden = ",".join(map(str, args.hidden))
+            raise MhiError(f"{source}: --hidden {hidden}: {exc}") from exc
+        epoch, history = classifier.selected_epoch, classifier.val_history
+        log.info("mlp: selected epoch %d of %d, validation accuracy %.4f",
+                 epoch, len(history), history[epoch - 1])
     model = TrainedModel(tau=args.tau, theta=args.theta, standardizer=standardizer,
                          classifier=classifier)
     # The report is made first, so a model that cannot classify its own

@@ -101,6 +101,10 @@ class ForwardOverflowError(MhiError):
     the inputs, as after training with a huge learning rate."""
 
 
+class ModelSizeError(MhiError):
+    """An MLP's layer sizes ask for more parameters than training allows."""
+
+
 class NonFiniteLossError(MhiError):
     """Training loss became NaN/inf; usually the learning rate is too high."""
 

@@ -1,9 +1,13 @@
 """Splitting, standardization, KNN/MLP training, evaluation, persistence."""
 
 import csv
+import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -30,6 +34,7 @@ from mhi.errors import (
     EmptySplitError,
     EmptyTrainingError,
     FeatureOverflowError,
+    ModelSizeError,
     NonFiniteLossError,
     SingleClassError,
     StratificationError,
@@ -740,6 +745,8 @@ _EXAMPLE_SAMPLES = dict(classes=3, n=10, dim=4, n_val=0, scale=3.0, seed=5)
 @example(case=(_EXAMPLE_SAMPLES, MlpConfig(hidden=(5, 4), lr=0.5, epochs=15, batch=3, seed=1)))
 @example(case=(_EXAMPLE_SAMPLES, MlpConfig(hidden=(), lr=0.05, epochs=7, batch=13, seed=2)))
 @example(case=(_EXAMPLE_SAMPLES, MlpConfig(hidden=(6,), lr=1e30, epochs=3, batch=4, seed=3)))
+# A one-row final batch (10 = 3 + 3 + 3 + 1) through no hidden layer.
+@example(case=(_EXAMPLE_SAMPLES, MlpConfig(hidden=(), lr=0.5, epochs=6, batch=3, seed=4)))
 def test_train_mlp_matches_former_loop(case):
     samples, cfg = case
     train, val = training_samples(**samples)
@@ -752,3 +759,77 @@ def test_train_mlp_divergence_matches_former_loop():
     with pytest.raises(NonFiniteLossError, match="^loss diverged to "):
         train_mlp(train, val, cfg)
     assert training_matches_former_loop(train, val, cfg)
+
+
+# --- the step's reused buffers ---
+
+def test_dirty_step_buffers_change_no_bit():
+    """A step on buffers left holding an earlier step's data, or NaN, gives
+    the loss and gradient bits of a step on fresh buffers, over batch sizes,
+    weights and class counts."""
+    rng = np.random.Generator(np.random.PCG64(61))
+    for sizes, rows in [([4, 6, 3], 5), ([4, 6, 3], 1), ([4, 6, 5], 5), ([3, 2], 4),
+                        ([1, 1, 2], 1), ([4, 7, 6, 3], 2)]:
+        dirty = classify._step_buffers(rows, sizes)
+        for call in range(3):
+            if call == 1:
+                outs, _, deltas, col = dirty
+                for buffer in [*outs, *deltas, col]:
+                    buffer.fill(np.nan)
+            weights, biases = mlp_init(sizes, rng)
+            biases = [rng.standard_normal(b.shape) for b in biases]
+            matrix = rng.standard_normal((rows, sizes[0]))
+            targets = rng.integers(0, sizes[-1], size=rows)
+            mask = np.eye(sizes[-1], dtype=bool)[targets]
+            grads_w = [np.full_like(w, np.nan) for w in weights]
+            grads_b = [np.full_like(b, np.nan) for b in biases]
+            loss = classify._backprop(dirty, weights, [w.T for w in weights], biases, matrix,
+                                      mask.astype(np.float64), mask, grads_w, grads_b,
+                                      loss=True)
+            want_loss, want_w, want_b = mlp_loss_and_grads(weights, biases, matrix, targets)
+            assert same_bits(loss, want_loss)
+            for got, want in zip(grads_w + grads_b, want_w + want_b):
+                assert same_bits(got, want)
+
+
+def test_mlp_size_bound_is_checked_before_any_weight(monkeypatch):
+    train, val = training_samples(3, 9, 4, 2, 1.0, 7)
+    cfg = MlpConfig(hidden=(5,), epochs=2, seed=1)
+    count = 4 * 5 + 5 + 5 * 3 + 3
+    monkeypatch.setattr(classify, "MLP_MAX_PARAMS", count)
+    train_mlp(train, val, cfg)
+
+    def refuse(*args):
+        raise AssertionError("mlp_init called past the parameter bound")
+
+    monkeypatch.setattr(classify, "MLP_MAX_PARAMS", count - 1)
+    monkeypatch.setattr(classify, "mlp_init", refuse)
+    with pytest.raises(ModelSizeError, match=r"layer sizes \[4, 5, 3\] need 43 weights"):
+        train_mlp(train, val, cfg)
+
+
+def trained_digest(hidden, batch) -> str:
+    """sha256 of the weights, biases and validation history of a small run."""
+    train, val = training_samples(3, 10, 4, 3, 2.0, 13)
+    model = train_mlp(train, val, MlpConfig(hidden=hidden, lr=0.3, epochs=6,
+                                            batch=batch, seed=5))
+    hasher = hashlib.sha256(repr(model.val_history).encode())
+    for array in model.weights + model.biases:
+        hasher.update(array.tobytes())
+    return hasher.hexdigest()
+
+
+def test_trained_bytes_agree_across_processes():
+    """Guards against a step buffer read before it is written: fresh
+    interpreters and a heap left by a model of another shape hold other
+    garbage."""
+    env = dict(os.environ)
+    paths = [os.path.dirname(__file__), os.path.dirname(os.path.dirname(classify.__file__))]
+    env["PYTHONPATH"] = os.pathsep.join(paths + [env.get("PYTHONPATH", "")])
+    code = "import test_classify; print(test_classify.trained_digest((5, 3), 4))"
+    fresh = [subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120) for _ in range(2)]
+    assert [done.returncode for done in fresh] == [0, 0], fresh[0].stderr
+    trained_digest((9, 2, 7), 3)
+    in_process = trained_digest((5, 3), 4)
+    assert [done.stdout.strip() for done in fresh] == [in_process, in_process]

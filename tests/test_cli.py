@@ -4,7 +4,9 @@ import csv
 import io
 import itertools
 import json
+import logging
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mhi import cli, imgio, serialize, temporal
+from mhi import classify, cli, imgio, serialize, temporal
 from mhi.classify import MlpConfig, SplitSpec, Standardizer, TrainedModel, split_dataset, train_mlp
 from mhi.cli import FEATURE_HEADER, features_to_csv, main, read_features_csv
 from mhi.diagnostics import detect_secondary_blob
@@ -616,6 +618,52 @@ def test_hidden_sizes_shape_the_net(workspace, tmp_path):
     assert main(["train", "--features", str(workspace["feats"]), "--classifier", "mlp",
                  "--epochs", "2", "--hidden", "8,4", "--out", str(model)]) == 0
     assert json.loads(model.read_text())["mlp"]["sizes"] == [16, 8, 4, 3]
+
+
+def test_hidden_past_the_parameter_bound_exits_two(workspace, tmp_path, caplog, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("mlp_init called past the parameter bound")
+
+    monkeypatch.setattr(classify, "mlp_init", refuse)
+    model = tmp_path / "m.json"
+    assert main(["train", "--features", str(workspace["feats"]), "--classifier", "mlp",
+                 "--hidden", "100000000", "--out", str(model)]) == 2
+    assert f"{workspace['feats']}: --hidden 100000000: layer sizes [16, 100000000, 3]" \
+        in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_logs_the_selected_epoch(workspace, tmp_path, caplog, monkeypatch):
+    trained = []
+
+    def keep(*args):
+        trained.append(train_mlp(*args))
+        return trained[-1]
+
+    monkeypatch.setattr(cli, "train_mlp", keep)
+    caplog.set_level(logging.INFO, logger="mhi")
+    # At this rate the validation accuracy first peaks after some epochs and
+    # then stays there, so the first of the tied epochs must be named.
+    assert main(["train", "--features", str(workspace["feats"]), "--classifier", "mlp",
+                 "--lr", "0.01", "--epochs", "40", "--out", str(tmp_path / "m.json")]) == 0
+    history = trained[0].val_history
+    best = int(np.argmax(history))
+    assert 0 < best and history.count(history[best]) > 1
+    assert trained[0].selected_epoch == best + 1
+    found = re.findall(r"mlp: selected epoch (\d+) of (\d+), validation accuracy (\S+)",
+                       caplog.text)
+    assert found == [(str(best + 1), "40", f"{history[best]:.4f}")]
+
+
+def test_batch_above_the_training_set_equals_batch_of_its_size(workspace, tmp_path):
+    train, _, _ = split_dataset(read_features_csv(str(workspace["feats"])), SplitSpec(seed=0))
+    written = []
+    for batch in (str(len(train)), "1000000000"):
+        model = tmp_path / f"m{batch}.json"
+        assert main(["train", "--features", str(workspace["feats"]), "--classifier", "mlp",
+                     "--epochs", "5", "--batch", batch, "--out", str(model)]) == 0
+        written.append(model.read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("hidden", ["0", "a", "8,,4", "8,-1", ""])
