@@ -58,6 +58,7 @@ from .errors import (
 )
 from .imgproc import require_theta
 from .moments import LabeledSample
+from .temporal import MAX_TAU
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -671,8 +672,8 @@ class TrainedModel:
         standardizer mean; every other array must agree with it. Arrays hold
         finite JSON numbers, ``standardizer.std`` is positive, ``labels`` and
         ``knn.labels`` are lists of nonempty strings, ``tau``, ``knn.k`` and
-        the entries of the ``mlp.sizes`` list are integers >= 1 and ``theta``
-        is a finite number.
+        the entries of the ``mlp.sizes`` list are integers >= 1, ``tau`` at
+        most ``MAX_TAU``, and ``theta`` is a finite number.
         """
         if _field(doc, "version") != 1:
             raise ModelFormatError(f"unsupported model version: {doc['version']}")
@@ -713,8 +714,11 @@ class TrainedModel:
                 biases=[_array(doc, f"mlp.biases.{l}", sizes[l + 1 : l + 2]) for l in layers],
                 labels=labels,
             )
+        tau = _count(doc, "tau")
+        if tau > MAX_TAU:
+            raise ModelFormatError(f"tau must be <= {MAX_TAU}, got {tau}")
         return cls(
-            tau=_count(doc, "tau"),
+            tau=tau,
             theta=require_theta(float(_array(doc, "theta", ()))),
             standardizer=Standardizer(mean=mean, std=std),
             classifier=classifier,

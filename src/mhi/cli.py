@@ -51,6 +51,7 @@ from .imgproc import require_theta
 from .moments import FEATURE_DIM, LabeledSample, stack_features
 from .synth import generate, parse_specs
 from .temporal import (
+    MAX_TAU,
     build_template,
     clip_history,
     normalize_mhi,
@@ -83,6 +84,20 @@ def _positive(value: str) -> int:
     if number < 1:
         raise argparse.ArgumentTypeError("value must be >= 1")
     return number
+
+
+def _non_negative(value: str) -> int:
+    number = int(value)
+    if number < 0:
+        raise argparse.ArgumentTypeError(f"value must be >= 0, got {value}")
+    return number
+
+
+def _tau(value: str) -> int:
+    tau = _positive(value)
+    if tau > MAX_TAU:
+        raise argparse.ArgumentTypeError(f"tau must be <= {MAX_TAU}, got {value}")
+    return tau
 
 
 def _learning_rate(value: str) -> float:
@@ -175,7 +190,7 @@ def extract_samples(manifest: str, theta: float, tau: int) -> list[LabeledSample
     samples = []
     clips = iter(records)
     for block in pack_templates(windows(), tau):
-        features, moving = stack_features(block.stack)
+        features, moving = stack_features(block.stack, tau)
         rows = iter(features)
         for (first, last), has_motion in zip(block.spans, moving):
             record = next(clips)
@@ -322,7 +337,7 @@ def predict_windows(
 
     entries = []
     for block in window_templates(seq, model.theta, model.tau, size, starts):
-        features, moving = stack_features(block.stack)
+        features, moving = stack_features(block.stack, model.tau)
         results = iter(model.predict_rows(features))
         blobs = detect_secondary_blobs(block.mei)
         for (_, end), has_motion, blob in zip(block.spans, moving, blobs):
@@ -382,7 +397,7 @@ def cmd_synth(args) -> int:
 def _add_pipeline_flags(parser):
     parser.add_argument("--theta", type=_theta, default=25.0,
                         help="frame-difference threshold")
-    parser.add_argument("--tau", type=_positive, default=300,
+    parser.add_argument("--tau", type=_tau, default=300,
                         help="history window length in frames")
 
 
@@ -416,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="MLP mini-batch size")
     p.add_argument("--hidden", type=_hidden_sizes, default=MlpConfig.hidden,
                    help="MLP hidden layer sizes, comma-separated")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_non_negative, default=0,
                    help="seed for the split shuffle and MLP training")
     p.add_argument("--out", required=True, help="model JSON output path")
     p.add_argument("--report", default=None,

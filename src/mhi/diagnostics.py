@@ -7,8 +7,11 @@ can discount suspect windows.
 
 The masks of a block of windows are labelled in one pass: stacked as one tall
 mask with a blank row after each, so that no component crosses from one
-window into the next. The tall mask of a ``(B, H, W)`` block is
-``B * (H + 1) * W`` booleans, bounded like the block itself by the frame area.
+window into the next. The tall mask is laid out flat, with one False after
+each row and one before the first, so that one comparison of neighbouring
+values finds every run's edges. For a ``(B, H, W)`` block it is
+``1 + B * (H + 1) * (W + 1)`` booleans, bounded like the block itself by the
+frame area.
 """
 
 from __future__ import annotations
@@ -27,18 +30,22 @@ class BlobDiagnostic:
     warning: bool
 
 
-def _component_areas(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pixel counts of the 8-connected components of a 2-D boolean mask, and
-    the flat index ``row * (W + 1) + column`` of each one's first pixel.
+def _component_areas(flat: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pixel counts of the 8-connected components of a boolean mask, and the
+    flat index ``row * width + column`` of each one's first pixel.
 
-    The nodes are each row's runs of set pixels, so the cost grows with the
+    ``flat[1:]`` holds the mask row by row, each row ended by one False, so
+    ``width`` is the mask's width plus one, and ``flat[0]`` is False. The
+    nodes are each row's runs of set pixels, so the cost grows with the
     number of runs, not of pixels. Runs on adjacent rows that touch are merged
     by hooking each root to the smallest root it touches and flattening.
     """
-    width = mask.shape[1] + 1
-    # Run boundaries as flat indices into the (H, W + 1) edge array: these
-    # keys sort row-major, and adding ``width`` moves a key one row down.
-    edges = np.flatnonzero(np.diff(mask, axis=1, prepend=False, append=False))
+    # Run boundaries as flat indices into the rows: a run starts where a
+    # value differs from the one before it and ends, exclusive, where the
+    # next False differs from it. The False closing each row keeps a run in
+    # its row. These keys sort row-major, and adding ``width`` moves a key one
+    # row down.
+    edges = np.flatnonzero(flat[1:] != flat[:-1])
     start, end = edges[0::2], edges[1::2]
     # Run b on the next row touches run a, diagonals included, when
     # start_b <= end_a and end_b >= start_a (ends exclusive); both searches
@@ -72,9 +79,11 @@ def detect_secondary_blobs(masks: np.ndarray) -> list[BlobDiagnostic]:
     """
     masks = np.asarray(masks)
     count, height, width = masks.shape
-    tall = np.zeros((count, height + 1, width), dtype=bool)
-    np.greater(masks, 0, out=tall[:, :height])
-    areas, firsts = _component_areas(tall.reshape(-1, width))
+    # The tall mask, each row ended by one False, after one leading False.
+    flat = np.zeros(1 + count * (height + 1) * (width + 1), dtype=bool)
+    tall = flat[1:].reshape(count, height + 1, width + 1)
+    np.greater(masks, 0, out=tall[:, :height, :width])
+    areas, firsts = _component_areas(flat, width + 1)
     window = firsts // ((width + 1) * (height + 1))
     components = np.bincount(window, minlength=count)
     substantial = np.bincount(window[areas > AREA_FRACTION * (height * width)],

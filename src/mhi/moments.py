@@ -17,11 +17,16 @@ Moments are computed for a whole stack at once, in the float operations and
 order of one image at a time, so a feature vector has the same bits whatever
 block it was computed in. The feature stage takes a template block's one
 ``(2B, H, W)`` stack, its B MHIs followed by their B MEIs, and makes one raw
-and one central ``_moment_table`` call over all ``2B`` images.
-``feature_vector`` is the one-window case. Only the per-window scalar tail
-(nu, Hu, I8) runs window by window, in Python floats, since numpy's array
-``**`` can differ from Python's float ``**`` in the last bit; the signed log
-then runs once on the block's ``(B', 16)`` matrix of windows with motion.
+and one central ``_moment_table`` call over all ``2B`` images. Given the
+templates' ``tau``, with ``tau * H * W * max(H, W) < 2**53``, the raw call
+shrinks to the three sums the centroid needs, M00, M10 and M01, from one 2x2
+product per image: the images hold integers in ``[0, tau]``, so every
+partial sum is an integer below 2**53, exact in any order, and the sums
+equal the table's on any BLAS kernel. ``feature_vector`` is the one-window
+case. Only the per-window scalar tail (nu, Hu, I8) runs window by window, in
+Python floats, since numpy's array ``**`` can differ from Python's float
+``**`` in the last bit; the signed log then runs once on the block's
+``(B', 16)`` matrix of windows with motion.
 """
 
 from __future__ import annotations
@@ -97,13 +102,27 @@ def _moment_table(imgs: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
     return (rows[:, _ROW_POWER] @ xs[..., _COLUMN_POWER, :, None])[:, :, 0, 0]
 
 
-def _moments(imgs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _moments(imgs: np.ndarray, tau: int | None = None
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Raw moments ``(N, 10)``, centroid columns and rows ``(N,)`` each, and
     central moments ``(N, 10)`` of each image of a float64 ``(N, H, W)`` stack,
-    in ``MOMENT_ORDERS`` order: one raw and one central ``_moment_table`` call."""
+    in ``MOMENT_ORDERS`` order: one raw and one central ``_moment_table`` call.
+
+    ``tau`` says that the images hold integers in ``[0, tau]``, as templates
+    do. With ``tau * H * W * max(H, W) < 2**53``, the raw moments are only the
+    first three, M00, M01 and M10 ``(N, 3)``, which the centroid needs, from
+    one 2x2 product per image. Every partial sum of these is then an integer
+    below that bound, so exact, and each equals its ``_moment_table`` column
+    whatever order the BLAS kernel adds in.
+    """
     _, height, width = imgs.shape
     xs, ys = _coordinate_powers(width), _coordinate_powers(height)
-    raw = _moment_table(imgs, xs, ys)
+    if tau is not None and tau * height * width * max(height, width) < 2**53:
+        # sums[n, j, i] is M_ij; MOMENT_ORDERS starts (0, 0), (0, 1), (1, 0).
+        sums = (ys[:2] @ imgs) @ xs[:2].T
+        raw = sums.reshape(-1, 4)[:, [0, 2, 1]]
+    else:
+        raw = _moment_table(imgs, xs, ys)
     m00 = raw[:, 0]
     mass = np.where(m00 != 0.0, m00, 1.0)  # a zero-mass image is dropped by the caller
     xbar = raw[:, MOMENT_ORDERS.index((1, 0))] / mass
@@ -193,17 +212,20 @@ def invariants(img: np.ndarray) -> np.ndarray:
     return np.array(_invariants(scale_invariant_moments(img)))
 
 
-def stack_features(stack: np.ndarray) -> tuple[np.ndarray, list[bool]]:
+def stack_features(stack: np.ndarray, tau: int | None = None
+                   ) -> tuple[np.ndarray, list[bool]]:
     """Feature vectors of the windows of a ``(2B, H, W)`` template stack.
 
     ``stack`` holds B MHIs followed by their B MEIs, as a ``TemplateBlock``'s
-    stack does. Returns the ``(B', 16)`` matrix of the B' windows with motion,
-    in order, and for each of the B windows whether it has motion: a window
-    whose MHI or MEI has zero mass has none and gets no row. Layout of a row:
-    signed-log of [h1..h7, i8] on the MHI followed by the same eight on the MEI.
+    stack does. ``tau``, the templates' own, lets the centroid come from
+    exact sums (see ``_moments``); any stack may omit it. Returns the
+    ``(B', 16)`` matrix of the B' windows with motion, in order, and for each
+    of the B windows whether it has motion: a window whose MHI or MEI has zero
+    mass has none and gets no row. Layout of a row: signed-log of [h1..h7, i8]
+    on the MHI followed by the same eight on the MEI.
     """
     count = len(stack) // 2
-    raw, _, _, mu = _moments(np.asarray(stack, dtype=np.float64))
+    raw, _, _, mu = _moments(np.asarray(stack, dtype=np.float64), tau)
     # Python floats from here on, so nu takes Python's scalar ``**``.
     m00, mu = raw[:, 0].tolist(), mu.tolist()
     rows, moving = [], []

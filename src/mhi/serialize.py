@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
+# What ``json.dumps`` gives a str at its default settings, without its set-up.
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -29,18 +30,19 @@ def format_float(value: float) -> str:
 
 def dumps(obj, indent: int = 0) -> str:
     """Serialize ``obj`` to a canonical JSON string."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
+    # Floats first, the leaves met most often; no bool or int is a float.
+    if isinstance(obj, (float, np.floating)):
+        return format_float(obj)
     if obj is None:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
+    pad = " " * indent
+    inner = " " * (indent + 2)
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
@@ -56,7 +58,7 @@ def dumps(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         items = [
-            f"{inner}{json.dumps(str(k))}: {dumps(v, indent + 2)}"
+            f"{inner}{_quote(str(k))}: {dumps(v, indent + 2)}"
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"

@@ -27,12 +27,15 @@ block to block (see ``imgproc``).
 
 ``pack_templates`` turns history windows into templates in blocks of ``B``:
 a ``TemplateBlock`` holds one ``(2B, H, W)`` float64 stack, the ``B`` MHIs
-followed by their ``B`` MEIs as 0.0/1.0, so the moment stage runs once per
-block on all ``2B`` images, and the blob stage once on the block's uint8 MEI
-stack. The windows of one block may come from one video, as ``predict``'s
-sliding windows do, or from many clips of one frame shape, as the whole-clip
-templates of ``extract`` do. ``B`` is at most 8 and holds each float64 MHI
-half of the stack to at most 1 MiB (8 windows up to 128x128, 2 at 256x256,
+followed by their ``B`` MEIs as 0.0/1.0. The MHI half is written in two
+passes, 0.0 everywhere and then ``tau - age`` at the active pixels, so no
+idle pixel can read -0.0, and each value is an exact integer for ``tau`` up
+to ``MAX_TAU``. The moment stage runs once per block on all ``2B`` images,
+and the blob stage once on the block's uint8 MEI stack. The windows of one
+block may come from one video, as ``predict``'s sliding windows do, or
+from many clips of one frame shape, as the whole-clip templates of
+``extract`` do. ``B`` is at most 8 and holds each float64 MHI half of the
+stack to at most 1 MiB (8 windows up to 128x128, 2 at 256x256,
 1 above 362x362). ``pack_templates`` writes every block into the same
 buffers, so a yielded block is valid until the next one is drawn, as the
 ``last`` of ``fold_history`` is. A video is thus processed holding one mask
@@ -61,6 +64,11 @@ _BLOCK = 32
 # stack (1 MiB).
 _BLOCK_WINDOWS = 8
 _BLOCK_VALUES = 2**17
+
+#: The largest ``tau`` the CLI flag and the model file accept. Up to it every
+#: MHI value ``tau - age`` is an integer that float64 holds exactly; past it
+#: the ages round away and the MHI fades into a copy of the MEI.
+MAX_TAU = 2**53
 
 
 @dataclass
@@ -271,11 +279,10 @@ def _template_block(ages: np.ndarray, steps: np.ndarray, tau: int, spans,
     may lie in the bytes of the MEI half; it is read before that is written."""
     active = ages < steps
     mhi = stack[: len(ages)]
-    np.subtract(tau, ages, out=mhi, dtype=np.float64)
-    # An idle pixel's tau - age may be negative, and times 0 gives -0.0;
-    # adding +0.0 turns that into 0.0 and leaves every other value as it is.
-    mhi *= active
-    mhi += 0.0
+    # Two passes: 0.0 everywhere, then tau - age at the active pixels only,
+    # where it is at least 1, so no -0.0 arises.
+    mhi.fill(0.0)
+    np.subtract(tau, ages, out=mhi, where=active, dtype=np.float64)
     stack[len(ages) :] = active
     return TemplateBlock(active.view(np.uint8), spans, stack)
 

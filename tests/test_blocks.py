@@ -33,7 +33,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mhi
-from mhi import temporal
+from mhi import moments, temporal
 from mhi.classify import KnnModel, MlpConfig, Standardizer, TrainedModel, train_mlp
 from mhi.cli import extract_samples, predict_windows
 from mhi.diagnostics import detect_secondary_blob, detect_secondary_blobs
@@ -117,19 +117,20 @@ def window_blocks(frames, size, tau, starts, per_block):
         return [copy.deepcopy(b) for b in window_templates(seq, THETA, tau, size, starts)]
 
 
-def block_features(stack):
-    """``stack_features`` of a block's stack, as ``predict`` calls it, with
-    None for each window without motion."""
-    features, moving = stack_features(stack)
+def block_features(stack, tau=None):
+    """``stack_features`` of a block's stack, as ``predict`` calls it with its
+    templates' ``tau``, with None for each window without motion."""
+    features, moving = stack_features(stack, tau)
     rows = iter(features)
     return [next(rows) if has_motion else None for has_motion in moving]
 
 
-def block_mismatches(blocks):
-    """Windows whose block features or blob diagnostic differ from the oracles."""
+def block_mismatches(blocks, tau):
+    """Windows whose block features or blob diagnostic differ from the oracles;
+    ``tau`` is the blocks' own."""
     bad = []
     for block in blocks:
-        features = block_features(block.stack)
+        features = block_features(block.stack, tau)
         blobs = detect_secondary_blobs(block.mei)
         assert len(features) == len(blobs) == len(block.spans)
         for mhi, mei, span, got, blob in zip(block.mhi, block.mei, block.spans, features, blobs):
@@ -183,7 +184,7 @@ def test_blocks_match_per_window_oracles(case):
     blocks = window_blocks(frames, case["size"], case["tau"], case["starts"],
                            case["per_block"])
     assert sum(len(b.spans) for b in blocks) == len(case["starts"])
-    assert block_mismatches(blocks) == []
+    assert block_mismatches(blocks, case["tau"]) == []
 
 
 @st.composite
@@ -206,6 +207,51 @@ def test_stack_features_match_literal_formulas_on_real_images(stack):
         assert same_bits(got, literal_features(img, img > 0.5))
     for img, ms in zip(stack, stack_moments(stack)):
         assert (ms is None) == (literal_invariants(img) is None)
+
+
+def exact_sums_limit(h, w):
+    """The largest ``tau`` whose ``(h, w)`` templates take the exact centroid sums."""
+    return (2**53 - 1) // (h * w * max(h, w))
+
+
+def centroid_mismatches(stack, tau):
+    """Images of an integer ``stack`` whose M00, M01 and M10 given ``tau``
+    differ from the ``_moment_table`` columns, in bits."""
+    fast = moments._moments(stack, tau)[0][:, :3]
+    table = moments._moments(stack)[0][:, :3]
+    return sum(a.tobytes() != b.tobytes() for a, b in zip(fast, table))
+
+
+@st.composite
+def integer_template_stacks(draw):
+    """An integer stack with values in ``[0, tau]``, some images all zero and
+    some all ``tau``, and a ``tau`` at, just past or anywhere around the
+    largest that takes the exact sums."""
+    count, h, w = draw(st.integers(1, 9)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    limit = exact_sums_limit(h, w)
+    tau = draw(st.sampled_from([limit, limit + 1]) | st.integers(1, 2 * limit))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = rng.integers(0, tau, (count, h, w), endpoint=True).astype(np.float64)
+    stack[rng.random((count, h, w)) < draw(st.floats(0.0, 1.0))] = 0.0
+    stack[rng.random(count) < 0.25] = tau
+    stack[rng.random(count) < 0.25] = 0.0
+    return tau, stack
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_template_stacks())
+@example((exact_sums_limit(40, 40), np.full((2, 40, 40), float(exact_sums_limit(40, 40)))))
+@example((exact_sums_limit(7, 40), np.full((3, 7, 40), float(exact_sums_limit(7, 40)))))
+def test_exact_centroid_sums_equal_the_moment_table(case):
+    tau, stack = case
+    count, h, w = stack.shape
+    fast = moments._moments(stack, tau)
+    table = moments._moments(stack)
+    # The exact sums up to the limit and the full table past it.
+    assert fast[0].shape == (count, 3 if tau <= exact_sums_limit(h, w) else 10)
+    assert centroid_mismatches(stack, tau) == 0
+    for got, want in zip(fast[1:], table[1:]):
+        assert got.tobytes() == want.tobytes()
 
 
 SIGNED_LOG_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300]
@@ -402,13 +448,17 @@ def kernel_probe() -> dict:
     them, the whole-clip templates of 11 clips in blocks of 8 and 3. Masks,
     MHI/MEI stacks, blob diagnostics and the raw moments of the integer MHIs
     and MEIs are exact whatever the kernel: each raw-moment partial sum is an
-    integer below 2**53. Features are not, so for them only the comparisons
-    with the oracles are returned: block against literal formulas, each
-    ``extract`` row against its per-clip row, and, in ``tail_mismatches``,
-    the labels and score bits of each ``predict`` entry of an MLP and a KNN
-    model against its window alone. Trained weights are not exact
-    either, so ``train_mismatches`` counts the small ``train_mlp`` runs whose
-    model or history differs from the former training loop's in this process.
+    integer below 2**53. ``centroid_mismatches`` counts the images whose
+    M00, M01 and M10 from the exact sums that ``predict`` and ``extract``
+    take differ from the moment table's, on these blocks and on a stack of
+    values up to the largest ``tau`` the sums allow. Features are not exact,
+    so for them only the comparisons with the oracles are returned: block
+    against literal formulas, each ``extract`` row against its per-clip row,
+    and, in ``tail_mismatches``, the labels and score bits of each
+    ``predict`` entry of an MLP and a KNN model against its window alone.
+    Trained weights are not exact either, so ``train_mismatches`` counts the
+    small ``train_mlp`` runs whose model or history differs from the former
+    training loop's in this process.
     """
     rng = np.random.Generator(np.random.PCG64(11))
     frames = video_with_still(rng, 2 * _BLOCK + 15, 10, 12, 30, 20)
@@ -433,8 +483,12 @@ def kernel_probe() -> dict:
                 if ms is not None]
 
     blobs = [[d.component_count, d.warning] for b in blocks for d in detect_secondary_blobs(b.mei)]
+    limit = exact_sums_limit(30, 40)
+    near_limit = np.random.default_rng(13).integers(0, limit, (4, 30, 40), endpoint=True)
     return {
-        "mismatches": len(block_mismatches(blocks)),
+        "mismatches": len(block_mismatches(blocks, 12)),
+        "centroid_mismatches": sum(centroid_mismatches(b.stack, 12) for b in blocks + clip_blocks)
+        + centroid_mismatches(near_limit.astype(np.float64), limit),
         "tail_mismatches": len(tail_mismatches(frames, 14, 12, starts, 5))
         # Stride 4, with the trailing window clamped to the video's end.
         + len(tail_mismatches(frames, 9, 6, [*range(0, len(frames) - 9, 4), len(frames) - 9], 3)),
@@ -446,7 +500,8 @@ def kernel_probe() -> dict:
             for n, n_val, hidden, batch, seed in
             [(12, 4, (), 5, 1), (9, 0, (7,), 2, 2), (14, 3, (8, 6), 16, 3)]
         ),
-        "clip_mismatches": len(block_mismatches(clip_blocks)) + (rows != per_clip_rows(clips, 12)),
+        "clip_mismatches": len(block_mismatches(clip_blocks, 12))
+        + (rows != per_clip_rows(clips, 12)),
         "masks": digest([motion_masks(frames, THETA)]),
         "mhi": digest(b.mhi for b in blocks),
         "mei": digest(b.mei for b in blocks),
@@ -485,7 +540,8 @@ def run_probe(overrides: dict) -> dict:
                     reason="the kernel names are x86 OpenBLAS and numpy dispatch targets")
 def test_blocks_and_exact_stages_hold_under_other_kernels():
     results = {name: run_probe(overrides) for name, overrides in KERNELS.items()}
-    for key in ("mismatches", "tail_mismatches", "clip_mismatches", "train_mismatches"):
+    for key in ("mismatches", "tail_mismatches", "clip_mismatches", "train_mismatches",
+                "centroid_mismatches"):
         assert {name: r[key] for name, r in results.items()} == dict.fromkeys(KERNELS, 0), key
     assert results["default"]["clip_blocks"] == [8, 3]
     for name, result in results.items():

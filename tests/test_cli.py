@@ -592,6 +592,8 @@ def _set(*path, value):
     ("mlp", _set("labels", 0, value=""), "labels"),
     ("knn", _set("knn", "labels", 0, value=7), "knn.labels"),
     ("mlp", _set("mlp", "sizes", value=5), "mlp.sizes"),
+    ("knn", _set("tau", value=2**53 + 1), "tau"),
+    ("mlp", _set("tau", value=10**30), "tau"),
 ], ids=["no-theta", "no-k", "no-std", "knn-width", "knn-mean-width", "mlp-mean-width",
         "mlp-weight-shape", "mlp-bias-shape", "mlp-missing-layer", "mlp-label-count",
         "nan-theta", "zero-tau", "knn-labels", "mlp-duplicate-labels",
@@ -599,7 +601,8 @@ def _set(*path, value):
         "string-vector", "bool-vector", "bool-bias", "float-tau", "bool-tau",
         "fractional-k", "float-k", "zero-k", "float-size", "bool-size",
         "string-theta", "null-theta", "huge-int-theta", "huge-int-mean",
-        "string-labels", "int-labels", "empty-label", "int-knn-label", "int-sizes"])
+        "string-labels", "int-labels", "empty-label", "int-knn-label", "int-sizes",
+        "tau-past-2-53", "huge-int-tau"])
 def test_malformed_model_exit_two(workspace, tmp_path, caplog, kind, corrupt, field):
     doc = json.loads(workspace[kind].read_text())
     corrupt(doc)
@@ -689,6 +692,44 @@ def test_non_positive_counts_are_usage_errors(workspace, tmp_path, flag, value):
         main(argv + [f"{flag}={value}"])
     assert info.value.code == 1
     assert not (tmp_path / "m.json").exists()
+
+
+def _command(workspace, tmp_path, command):
+    """A run of ``command`` on the workspace that writes under ``tmp_path``."""
+    return {
+        "extract": ["extract", "--manifest", str(workspace["clips"] / "manifest.jsonl"),
+                    "--out", str(tmp_path / "f.csv")],
+        "train": ["train", "--features", str(workspace["feats"]), "--classifier", "knn",
+                  "--out", str(tmp_path / "m.json")],
+        "render": ["render", "--frames", str(workspace["clips"] / "slide_000"),
+                   "--out", str(tmp_path / "r")],
+    }[command]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--seed", "-1"),
+    ("train", "--tau", str(2**53 + 1)),
+    ("extract", "--tau", "1" + "0" * 30),
+    ("render", "--tau", str(2**60)),
+])
+def test_out_of_range_flags_are_usage_errors_naming_the_flag(workspace, tmp_path, capsys,
+                                                             command, flag, value):
+    with pytest.raises(SystemExit) as info:
+        main(_command(workspace, tmp_path, command) + [flag, value])
+    assert info.value.code == 1
+    assert f"argument {flag}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tau_of_two_to_the_53_extracts_trains_and_loads(workspace, tmp_path):
+    feats, model = tmp_path / "f.csv", tmp_path / "m.json"
+    tau = str(2**53)
+    assert main(["extract", "--manifest", str(workspace["clips"] / "manifest.jsonl"),
+                 "--theta", THETA, "--tau", tau, "--out", str(feats)]) == 0
+    assert main(["train", "--features", str(feats), "--classifier", "knn", "--tau", tau,
+                 "--seed", "0", "--out", str(model)]) == 0
+    assert TrainedModel.load(model).tau == 2**53
+    assert main(["eval", "--model", str(model), "--features", str(feats)]) == 0
 
 
 def test_feature_row_field_count_names_line(workspace, tmp_path, caplog):

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mhi.diagnostics import AREA_FRACTION, BlobDiagnostic, detect_secondary_blob
+from mhi.diagnostics import (
+    AREA_FRACTION,
+    BlobDiagnostic,
+    detect_secondary_blob,
+    detect_secondary_blobs,
+)
 
 
 def test_empty_mask():
@@ -49,6 +54,21 @@ def test_diagonal_pixels_are_one_component():
     for i in range(5):
         mask[i, i] = 1
     assert detect_secondary_blob(mask).component_count == 1
+
+
+@pytest.mark.parametrize("width, run", [(3, 1), (4, 1), (5, 2), (9, 3)])
+def test_run_ending_in_the_last_column_stays_off_the_next_row(width, run):
+    # The runs are laid out row after row in one flat buffer: a run that ends
+    # in the last column must not continue into a run that starts in the
+    # first column of the next row, nor of the next window's first row.
+    mask = np.zeros((3, width), np.uint8)
+    mask[0, -run:] = 1
+    mask[1, :run] = 1
+    assert detect_secondary_blob(mask).component_count == 2
+    masks = np.zeros((2, 2, width), np.uint8)
+    masks[0, -1, -run:] = 1
+    masks[1, 0, :run] = 1
+    assert [d.component_count for d in detect_secondary_blobs(masks)] == [1, 1]
 
 
 def test_three_components_two_substantial():

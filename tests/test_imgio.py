@@ -500,3 +500,55 @@ def test_load_sequence_frame_entry_not_a_file(tmp_path):
         load_sequence(SequenceRecord(dir="clip", start=0, end=2), root=tmp_path)
     assert not isinstance(info.value, MhiError)
     assert "000001.pgm" in str(info.value)
+
+
+# --- read_frames: headers that change from file to file ---
+
+def _write_files(directory, files):
+    """Write each ``bytes`` of ``files`` as the frame file of consecutive
+    indices from 0; return their paths."""
+    os.makedirs(directory, exist_ok=True)
+    paths = [frame_path(directory, i) for i in range(len(files))]
+    for path, data in zip(paths, files):
+        with open(path, "wb") as fh:
+            fh.write(data)
+    return paths
+
+
+def _clip_files(*headers, pixels=bytes(6)):
+    return [header + pixels for header in headers]
+
+
+def test_read_frames_header_change_mid_sequence(tmp_path):
+    # A comment, then another maxval: every frame kept.
+    canonical, comment, low = b"P5\n3 2\n255\n", b"P5\n#c\n3 2\n255\n", b"P5\n3 2\n200\n"
+    pixels = bytes(range(0, 120, 20))
+    _write_files(tmp_path / "clip", _clip_files(canonical, canonical, comment, low, low,
+                                                canonical, pixels=pixels))
+    frames = list(read_frames(SequenceRecord(dir="clip", start=0, end=5), root=tmp_path))
+    assert [frame.tobytes() for frame in frames] == [pixels] * 6
+    # Another size after a repeated header.
+    paths = _write_files(tmp_path / "sized", _clip_files(canonical, canonical)
+                         + [b"P5\n2 3\n255\n" + bytes(6)])
+    frames = read_frames(SequenceRecord(dir="sized", start=0, end=2), root=tmp_path)
+    assert len([next(frames), next(frames)]) == 2
+    with pytest.raises(DimensionMismatchError) as info:
+        next(frames)
+    assert info.value.index == 2
+    assert str(info.value).startswith(f"{paths[2]}: frame 2 is 2x3, expected 3x2")
+
+
+@pytest.mark.parametrize("last, error, message", [
+    (b"P5\n3 2\n200\n" + bytes(5), TruncatedDataError, "expected 6 pixel bytes, got 5"),
+    (b"P5\n3 2\n200\n" + bytes(5) + b"\xc9", PixelRangeError, "pixel value 201 > maxval 200"),
+])
+def test_read_frames_checks_each_payload_after_a_repeated_header(tmp_path, last, error,
+                                                                 message):
+    paths = _write_files(tmp_path / "clip", _clip_files(b"P5\n3 2\n200\n",
+                                                        b"P5\n3 2\n200\n") + [last])
+    frames = read_frames(SequenceRecord(dir="clip", start=0, end=2), root=tmp_path)
+    assert len([next(frames), next(frames)]) == 2
+    with pytest.raises(error) as info:
+        next(frames)
+    assert str(info.value) == f"{paths[2]}: {message}"
+
