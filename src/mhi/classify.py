@@ -24,9 +24,10 @@ gradients into buffers made once per batch size, takes one-hot
 targets gathered once per epoch, and forms the loss only to report a
 divergence. Each of its numpy calls is a float operation of ``_forward`` or
 of a backprop on fresh arrays, so the bits are theirs. A net of more than
-``MLP_MAX_PARAMS`` weights and biases is refused before any is drawn; the
-bound counts parameters only, not the step's buffers, which grow with the
-batch.
+``MLP_MAX_PARAMS`` weights and biases is refused before any is drawn, and
+so is a pass whose widest layer would hold more than
+``MLP_MAX_LAYER_VALUES`` values: the step's buffers and the selection pass
+grow with the rows, not with the parameters.
 
 Trained models persist as a single JSON document (see ``TrainedModel``) with
 floats written as 17-significant-digit decimals, which round-trip doubles
@@ -219,6 +220,12 @@ class KnnModel:
 #: The most weights and biases ``train_mlp`` builds: 1 GiB of float64 at
 #: the bound, held three times (parameters, gradients, best snapshot).
 MLP_MAX_PARAMS = 2**27
+
+#: The most values one layer's outputs may take in one training pass: rows
+#: times the widest layer after the input, 256 MiB of float64 at the bound.
+#: The rows are a batch's, or the selection set's when it is longer, as each
+#: epoch scores that set in one pass. A step holds each hidden layer twice.
+MLP_MAX_LAYER_VALUES = 2**25
 
 
 @dataclass(frozen=True)
@@ -457,7 +464,8 @@ def train_mlp(
     ``val`` the training accuracy is used for selection instead. Raises
     ``SingleClassError`` for fewer than two training classes,
     ``ModelSizeError`` before any weight is drawn when the net would have
-    more than ``MLP_MAX_PARAMS`` weights and biases, and
+    more than ``MLP_MAX_PARAMS`` weights and biases or a pass would hold
+    more than ``MLP_MAX_LAYER_VALUES`` values in its widest layer, and
     ``NonFiniteLossError`` if the loss diverges.
 
     All weights and biases are views into one flat ``params`` buffer, and
@@ -490,6 +498,13 @@ def train_mlp(
     if count > MLP_MAX_PARAMS:
         raise ModelSizeError(f"layer sizes {sizes} need {count} weights and biases, "
                              f"more than the {MLP_MAX_PARAMS} that training allows")
+    n = x_train.shape[0]
+    rows = max(min(cfg.batch, n), x_select.shape[0])
+    values = rows * max(sizes[1:])
+    if values > MLP_MAX_LAYER_VALUES:
+        raise ModelSizeError(f"layer sizes {sizes} on {rows} rows per pass need {values} "
+                             f"values in the widest layer, more than the "
+                             f"{MLP_MAX_LAYER_VALUES} that training allows")
     rng = _rng(cfg.seed)
     # One stream drives both init and epoch shuffling, consumed in fixed order.
     params = np.concatenate([p.ravel() for layer in zip(*mlp_init(sizes, rng)) for p in layer])
@@ -503,7 +518,6 @@ def train_mlp(
     selected = 0
     history: list[float] = []
 
-    n = x_train.shape[0]
     mask_train = np.eye(len(labels), dtype=bool)[y_train]
     onehot_train = mask_train.astype(np.float64)
     x_epoch, onehot_epoch, mask_epoch = (np.empty_like(a) for a in

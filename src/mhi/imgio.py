@@ -12,6 +12,11 @@ named ``NNNNNN.pgm`` (zero-padded index, see ``frame_path``) inside ``dir``.
 ``read_frames`` is the one frame reader: it yields a record's frames in index
 order, one file at a time, so a caller that folds them as they come holds
 only the frames it still needs. ``load_sequence`` stacks what it yields.
+Each file goes through ``read_pgm``, which returns a read-only view of the
+file's pixel bytes rather than a copy, so a frame is copied once, by
+whoever gathers it. The frames of a clip share one header, and
+``read_pgm`` keeps the last valid one, so it parses that header once per
+clip and still checks every frame's pixel data.
 """
 
 from __future__ import annotations
@@ -99,14 +104,47 @@ def require_frame(frame: np.ndarray, stack: bool = False) -> np.ndarray:
     return frame
 
 
+# The header last decoded without error: its bytes up to and including the one
+# whitespace byte after maxval, then (pixel offset, height, width, maxval).
+# It is a cache only: any data decodes as a fresh parse would decode it, so
+# the callers and threads that share it see no difference but the time.
+_last_header: tuple[bytes, int, int, int, int] | None = None
+
+
 def read_pgm(data: bytes) -> np.ndarray:
     """Decode a binary PGM (P5) byte stream into a uint8 frame.
+
+    The frame is a view of ``data``'s pixel bytes, not a copy; for ``bytes``
+    input it is read-only. The fields of the last valid header are kept with
+    its bytes, up to and including the whitespace byte after maxval. Data
+    that starts with those bytes skips the header parse and its checks: the
+    header pattern reads no byte past that whitespace byte, so the parse
+    would give the same fields. The frames of one clip share a header, so it
+    is parsed once per clip. The length and pixel checks run on every call.
 
     Raises ``MalformedHeaderError`` for a bad magic or header fields,
     ``UnsupportedMaxvalError`` for maxval > 255, ``TruncatedDataError``
     when fewer than width*height pixel bytes follow the header, and
     ``PixelRangeError`` for a pixel above maxval.
     """
+    global _last_header
+    last = _last_header
+    if last is not None and data.startswith(last[0]):
+        _, pos, height, width, maxval = last
+    else:
+        pos, height, width, maxval = _header(data)
+        _last_header = (bytes(data[:pos]), pos, height, width, maxval)
+    size = width * height
+    if len(data) - pos < size:
+        raise TruncatedDataError(f"expected {size} pixel bytes, got {len(data) - pos}")
+    frame = np.frombuffer(data, np.uint8, size, pos).reshape(height, width)
+    if maxval < 255 and frame.max() > maxval:
+        raise PixelRangeError(f"pixel value {frame.max()} > maxval {maxval}")
+    return frame
+
+
+def _header(data: bytes) -> tuple[int, int, int, int]:
+    """Parse and check a PGM header: the pixel offset, height, width and maxval."""
     header = _HEADER.match(data)
     magic, *fields = header.groups()
     if magic != b"P5":
@@ -134,14 +172,7 @@ def read_pgm(data: bytes) -> np.ndarray:
     pos = header.end()
     if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
         raise MalformedHeaderError("missing whitespace after maxval")
-    pos += 1
-    size = width * height
-    if len(data) - pos < size:
-        raise TruncatedDataError(f"expected {size} pixel bytes, got {len(data) - pos}")
-    frame = np.frombuffer(data, np.uint8, size, pos).reshape(height, width).copy()
-    if maxval < 255 and frame.max() > maxval:
-        raise PixelRangeError(f"pixel value {frame.max()} > maxval {maxval}")
-    return frame
+    return pos + 1, height, width, maxval
 
 
 def write_pgm(frame: np.ndarray) -> bytes:
@@ -280,9 +311,11 @@ def read_frames(
     come out before the error.
     """
     directory = os.path.join(root, record.dir) if root is not None else record.dir
+    # ``frame_path`` joined once: the directory with its separator, if any.
+    prefix = os.path.join(directory, "")
     shape = None
     for index in range(record.start, record.end + 1):
-        path = frame_path(directory, index)
+        path = f"{prefix}{index:06d}.pgm"
         try:
             frame = read_pgm_file(path)
         except FileNotFoundError:

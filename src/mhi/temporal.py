@@ -23,7 +23,12 @@ reach them, so ``FrameSequence.frames`` may be the stream that
 ``imgio.read_frames`` yields. The frames are gathered into one mask block of
 32 frames; consecutive blocks share one frame, which is carried over rather
 than read again, and the mask stage reuses one set of scratch buffers from
-block to block (see ``imgproc``).
+block to block (see ``imgproc``). Only each window's final step of the
+fold is read, so the fold moves from one window's end to the next in one
+reduction per mask block over the run of masks in between: the masks of the
+run, weighted by their step order ``1..k``, give each pixel's highest active
+step as one ``max``. A whole clip is one run; a stride-1 window is a run of
+one mask and one assignment.
 
 ``pack_templates`` turns history windows into templates in blocks of ``B``:
 a ``TemplateBlock`` holds one ``(2B, H, W)`` float64 stack, the ``B`` MHIs
@@ -134,16 +139,17 @@ def motion_masks(frames: np.ndarray, theta: float, work: dict | None = None) -> 
 
 
 def _masks(seq: FrameSequence, theta: float):
-    """Yield the ``len(seq) - 1`` motion masks of ``seq`` one by one.
+    """Yield the ``len(seq) - 1`` motion masks of ``seq`` in blocks of at
+    most ``_BLOCK - 1``, each the ``(k, H, W)`` result of one
+    ``motion_masks`` call and valid until the next block is drawn.
 
     Frames are drawn from ``seq.frames`` as they are needed and gathered into
-    one buffer of ``_BLOCK`` frames; each block makes one ``motion_masks``
-    call. Consecutive blocks share one frame, which is carried to the front
-    of the buffer rather than drawn again, so every frame is drawn once and
-    at most ``_BLOCK`` of them are held. A sequence of more than one block
-    reuses one set of scratch buffers from block to block. One block runs
-    each stage once and allocates as it goes, so a short clip does not hold
-    every stage's buffer at the same time.
+    one buffer of ``_BLOCK`` frames. Consecutive blocks share one frame,
+    which is carried to the front of the buffer rather than drawn again, so
+    every frame is drawn once and at most ``_BLOCK`` of them are held. A
+    sequence of more than one block reuses one set of scratch buffers from
+    block to block. One block runs each stage once and allocates as it goes,
+    so a short clip does not hold every stage's buffer at the same time.
     """
     n = len(seq)
     frames = iter(seq.frames)
@@ -166,8 +172,13 @@ def _masks(seq: FrameSequence, theta: float):
                     index=seq.record.start + lo + i,
                 )
             block[i] = frame
-        yield from motion_masks(block[:count], theta, work)
+        yield motion_masks(block[:count], theta, work)
         block[0] = block[count - 1]
+
+
+# Mask step order 1.._BLOCK - 1 within a run of one mask block; times a {0, 1}
+# mask it stays within uint8.
+_ORDER = np.arange(1, _BLOCK, dtype=np.uint8).reshape(-1, 1, 1)
 
 
 def fold_history(seq: FrameSequence, theta: float, tau: int, size: int, starts):
@@ -184,21 +195,39 @@ def fold_history(seq: FrameSequence, theta: float, tau: int, size: int, starts):
     ``seq.frames``, which may be a stream, only as the windows need them,
     and masks are computed once, in blocks of ``_BLOCK`` frames that overlap
     by one frame (see ``_masks``), so neither grows with the sequence.
+
+    Only each window's final step of ``last`` is read, so the fold advances
+    from one window's end to the next in one reduction per mask block that
+    the run of masks between them touches: a pixel active in the run is
+    last active at its highest active step, which is ``t0`` plus the largest
+    of ``j * mask_j`` over the run's masks ``j = 1..k`` after step ``t0``.
+    That is the step the mask-by-mask update ``last[mask > 0] = t`` leaves.
+    A run of one mask, as stride-1 windows make, is that single update.
     """
     steps = min(size - 1, tau)
-    masks = _masks(seq, theta)
+    blocks = _masks(seq, theta)
+    masks = ()
+    at = 0          # the next unfolded mask of ``masks``
     last = None
-    t = -1
+    t = -1          # the last folded mask step
     for start in starts:
-        while t < start + size - 2:
-            t += 1
-            mask = next(masks)
-            if last is None:
-                # A pixel that never moved reads as last active at step -1.
-                # Its age t + 1 is >= steps, as a window has at most t + 1
-                # mask steps, so it is idle in every window.
-                last = np.full(mask.shape, -1, dtype=np.int32)
-            last[mask > 0] = t
+        end = start + size - 2
+        while t < end:
+            if at == len(masks):
+                masks, at = next(blocks), 0
+                if last is None:
+                    # A pixel that never moved reads as last active at step
+                    # -1. Its age t + 1 is >= steps, as a window has at most
+                    # t + 1 mask steps, so it is idle in every window.
+                    last = np.full(masks.shape[1:], -1, dtype=np.int32)
+            k = min(end - t, len(masks) - at)
+            if k == 1:
+                last[masks[at].view(bool)] = t + 1
+            else:
+                latest = np.multiply(masks[at : at + k], _ORDER[:k]).max(axis=0)
+                np.add(latest, np.int32(t), out=last, where=latest > 0)
+            at += k
+            t += k
         yield last, t, steps, (seq.record.start + t + 1 - steps, seq.record.start + t + 1)
 
 

@@ -808,6 +808,25 @@ def test_mlp_size_bound_is_checked_before_any_weight(monkeypatch):
         train_mlp(train, val, cfg)
 
 
+@pytest.mark.parametrize("batch, n_val, rows", [(100, 2, 9), (2, 20, 20)])
+def test_mlp_layer_bound_is_checked_before_any_step_buffer(monkeypatch, batch, n_val, rows):
+    """Rows are a batch's, or the selection set's when it is longer."""
+    train, val = training_samples(3, 9, 4, n_val, 1.0, 7)
+    cfg = MlpConfig(hidden=(5, 2), epochs=2, batch=batch, seed=1)
+    monkeypatch.setattr(classify, "MLP_MAX_LAYER_VALUES", rows * 5)
+    train_mlp(train, val, cfg)
+
+    def refuse(*args):
+        raise AssertionError("step buffers made past the layer bound")
+
+    monkeypatch.setattr(classify, "MLP_MAX_LAYER_VALUES", rows * 5 - 1)
+    monkeypatch.setattr(classify, "_step_buffers", refuse)
+    monkeypatch.setattr(classify, "mlp_init", refuse)
+    with pytest.raises(ModelSizeError, match=rf"layer sizes \[4, 5, 2, 3\] on {rows} rows "
+                                             rf"per pass need {rows * 5} values"):
+        train_mlp(train, val, cfg)
+
+
 def trained_digest(hidden, batch) -> str:
     """sha256 of the weights, biases and validation history of a small run."""
     train, val = training_samples(3, 10, 4, 3, 2.0, 13)

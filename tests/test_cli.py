@@ -636,6 +636,20 @@ def test_hidden_past_the_parameter_bound_exits_two(workspace, tmp_path, caplog, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_rows_past_the_layer_bound_exit_two(workspace, tmp_path, caplog, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("step buffers made past the layer bound")
+
+    monkeypatch.setattr(classify, "MLP_MAX_LAYER_VALUES", 9 * 7 - 1)
+    monkeypatch.setattr(classify, "_step_buffers", refuse)
+    model = tmp_path / "m.json"
+    assert main(["train", "--features", str(workspace["feats"]), "--classifier", "mlp",
+                 "--hidden", "7", "--batch", "1000", "--out", str(model)]) == 2
+    assert (f"{workspace['feats']}: --hidden 7: layer sizes [16, 7, 3] on 9 rows per pass "
+            f"need 63 values") in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_logs_the_selected_epoch(workspace, tmp_path, caplog, monkeypatch):
     trained = []
 

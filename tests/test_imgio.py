@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from mhi import imgio
 from mhi.errors import (
     DimensionMismatchError,
     FrameRangeError,
@@ -438,6 +440,74 @@ def test_load_manifest_names_bad_line(before, bad, after, ending):
 
 # --- sequence loading ---
 
+# --- the header memo: a repeated header is parsed once ---
+
+_PAYLOAD = st.binary(max_size=12) | st.sampled_from(
+    [bytes(9), b"\x0f" * 9, b"\x10" * 9, b" \t\n\r\x0b\x0c" * 2, b"#" * 9, b"5\n" * 5])
+
+
+@st.composite
+def _memo_pairs(draw):
+    # ``a`` then ``b``: ``b`` shares all of ``a``'s header, a cut of ``a``,
+    # ``a``'s header with a few bytes edited, or another header altogether.
+    header = draw(_VALID_HEADER)
+    a = header + draw(_PAYLOAD)
+    kind = draw(st.sampled_from(["payload", "cut", "edit", "other"]))
+    if kind == "payload":
+        return a, header + draw(_PAYLOAD)
+    if kind == "cut":
+        return a, a[: draw(st.integers(0, len(a)))]
+    if kind == "edit":
+        at = draw(st.integers(0, len(header)))
+        cut = draw(st.integers(0, 2))
+        edited = header[:at] + draw(st.binary(max_size=3)) + header[at + cut :]
+        return a, edited + draw(_PAYLOAD)
+    return a, draw(_VALID_HEADER | st.lists(_HEADER_PIECES, max_size=10).map(b"".join)) \
+        + draw(_PAYLOAD)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_memo_pairs())
+@example((b"P5 # c\n2 1\n255\n\x01\x02", b"P5 # c\n2 1\n255\n\x03\x04"))  # comment
+@example((b"P5 # c\n2 1\n255\n\x01\x02", b"P5 # c2 1\n255\n\x03\x04"))  # it eats a token
+@example((b"P5\t 2 \r\n1\x0b255\x0c\x01\x02", b"P5\t 2 \r\n1\x0b255\x0c\xff"))  # padding
+@example((b"P5 2 1 15\n\x0f\x0f", b"P5 2 1 15\n\x0f\x10"))  # maxval below 255
+@example((b"P5 2 2 255\n" + bytes(4), b"P5 2 2 255\n" + bytes(3)))  # truncated payload
+@example((b"P5 3 1 255\n\n\t ", b"P5 3 1 255\n \r\x0b"))  # whitespace-valued pixels
+@example((b"P5 2 1 25\n\x01\x02", b"P5 2 1 255\n\x01\x02"))  # a header only as a prefix
+@example((b"P5 1 1 255\n\x01", b"P5 12 1 255\n" + bytes(12)))
+@example((b"P5 2 1 2\n\x01\x02", b"P5 2 1 2"))
+def test_read_pgm_after_another_equals_read_pgm_alone(pair):
+    """``read_pgm(b)`` decodes or fails alike whatever header it decoded before."""
+    a, b = pair
+    imgio._last_header = None
+    alone = _outcome(read_pgm, b)
+    imgio._last_header = None
+    _outcome(read_pgm, a)
+    assert _outcome(read_pgm, b) == alone
+
+
+def test_read_pgm_parses_a_repeated_header_once():
+    imgio._last_header = None
+    with mock.patch.object(imgio, "_header", wraps=imgio._header) as parse:
+        for pixels in (b"\x01\x02", b"\x03\x04", b"\x05\x06"):
+            assert read_pgm(b"P5 2 1 255\n" + pixels).tobytes() == pixels
+        assert parse.call_count == 1
+        read_pgm(b"P5 2 1 254\n\x01\x02")
+        assert parse.call_count == 2
+
+
+def test_read_pgm_returns_a_view_and_load_sequence_a_stack(tmp_path):
+    data = b"P5 2 1 255\n\x01\x02"
+    frame = read_pgm(data)
+    assert not frame.flags.writeable
+    assert frame.base is not None
+    _write_frames(tmp_path / "clip", 0, 3)
+    stack = load_sequence(SequenceRecord(dir="clip", start=0, end=2), root=tmp_path).frames
+    assert stack.flags.writeable
+    stack[0, 0, 0] = 9
+
+
 def _write_frames(directory, start, count, shape=(4, 5)):
     directory.mkdir(parents=True, exist_ok=True)
     for i in range(start, start + count):
@@ -488,6 +558,18 @@ def test_load_sequence_stacks_what_read_frames_yields(tmp_path):
     record = SequenceRecord(dir="clip", start=1, end=4)
     frames = list(read_frames(record, root=tmp_path))
     np.testing.assert_array_equal(load_sequence(record, root=tmp_path).frames, np.stack(frames))
+
+
+@pytest.mark.parametrize("directory", ["", "d", "d/"])
+@pytest.mark.parametrize("rooted", [False, True])
+def test_read_frames_names_the_path_frame_path_gives(tmp_path, monkeypatch, directory, rooted):
+    monkeypatch.chdir(tmp_path)
+    root = tmp_path / "root" if rooted else None
+    frames = read_frames(SequenceRecord(dir=directory, start=7, end=8), root=root)
+    with pytest.raises(MissingFrameError) as info:
+        next(frames)
+    joined = os.path.join(root, directory) if rooted else directory
+    assert str(info.value) == f"missing frame 7 ({frame_path(joined, 7)})"
 
 
 def test_load_sequence_frame_entry_not_a_file(tmp_path):

@@ -254,7 +254,9 @@ def window_cases(draw):
     n = draw(st.integers(2, 3 * _BLOCK))
     size = draw(st.integers(2, n))
     tau = draw(st.integers(1, 40))
-    stride = draw(st.integers(1, 5))
+    # Up to two mask blocks between window ends, so a run of masks can
+    # cross a mask-block seam.
+    stride = draw(st.one_of(st.integers(1, 5), st.integers(6, 2 * _BLOCK)))
     per_block = draw(st.one_of(st.none(), st.integers(1, 9)))  # None: the frame-area default
     return n, size, tau, stride, draw(st.integers(0, 2**32 - 1)), per_block
 
@@ -277,6 +279,11 @@ def window_cases(draw):
 @example((2 * _BLOCK - 1, 12, 12, 6, 10, 2))
 @example((2 * _BLOCK, 33, 40, 1, 11, None))
 @example((2 * _BLOCK + 1, 2 * _BLOCK + 1, 20, 1, 12, None))
+# Runs of masks between window ends that cross mask-block seams.
+@example((2 * _BLOCK + 5, 2 * _BLOCK + 5, 300, 1, 14, None))  # one whole-clip run, two seams
+@example((3 * _BLOCK, 10, 40, _BLOCK - 1, 15, None))
+@example((3 * _BLOCK, 12, 40, 2 * _BLOCK, 16, 2))
+@example((2 * _BLOCK + 7, 20, 5, 7, 17, 2))                  # tau < size - 1, stride 7
 def test_window_templates_match_fold_oracle(case):
     n, size, tau, stride, seed, per_block = case
     rng = np.random.Generator(np.random.PCG64(seed))
