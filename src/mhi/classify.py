@@ -13,7 +13,8 @@ each row gets alone. The MLP forward pass runs on an ``(N, 1, F)`` layout, so
 every row takes the one-row matmuls of ``predict``, and the KNN ranks row by
 row. ``TrainedModel.predict`` is the one-row case. An inference forward pass
 that overflows float64 raises ``ForwardOverflowError``; none is silently
-saturated.
+saturated. ``saturated_layer`` finds a finite net that is: one whose hidden
+layer reads +-1.0 in every unit on every training row.
 
 MLP training holds every weight and bias as a view into one flat float64
 buffer and the gradients in a second buffer of the same layout, so an SGD
@@ -261,10 +262,6 @@ class MlpModel:
     def label_set(self) -> list[str]:
         return list(self.labels)
 
-    def forward(self, matrix: np.ndarray) -> np.ndarray:
-        """Class probabilities for a batch of row vectors."""
-        return _forward(self.weights, self.biases, matrix)[-1]
-
     def predict(self, features: np.ndarray) -> tuple[str, np.ndarray]:
         """Label with the highest probability; ties go to the lexicographically
         smaller label. Returns the full probability row as well. This is the
@@ -308,6 +305,23 @@ def _forward(
     exp = np.exp(logits - np.maximum.reduce(logits, axis=-1, keepdims=True))
     activations.append(exp / np.add.reduce(exp, axis=-1, keepdims=True))
     return activations
+
+
+def saturated_layer(model: MlpModel, matrix: np.ndarray) -> int | None:
+    """The 1-based index of the first hidden layer whose every unit reads
+    exactly +-1.0 on every row of ``matrix``, or None.
+
+    Such a layer passes on only the signs of its inputs, as a huge learning
+    rate can leave it with every value finite. Only the hidden layers are
+    computed, and an overflow among them raises no numpy warning.
+    """
+    layer = np.asarray(matrix, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index, (w, b) in enumerate(zip(model.weights[:-1], model.biases[:-1]), start=1):
+            layer = np.tanh(layer @ w + b)
+            if (np.abs(layer) == 1.0).all():
+                return index
+    return None
 
 
 def mlp_init(
@@ -422,22 +436,16 @@ def mlp_loss_and_grads(
     biases: list[np.ndarray],
     matrix: np.ndarray,
     target_idx: np.ndarray,
-    grads_w: list[np.ndarray] | None = None,
-    grads_b: list[np.ndarray] | None = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean cross-entropy of a batch plus gradients for every parameter.
 
     This is the single backprop implementation: ``train_mlp`` runs its core,
     ``_backprop``, directly, so a finite-difference check of this function
-    validates the gradients the optimizer actually uses. The gradients are
-    written into ``grads_w`` and ``grads_b`` (arrays shaped like the weights
-    and biases) when given, and into new arrays otherwise; both lists are
-    returned. A diverged batch returns an inf or NaN loss without a numpy
-    warning.
+    validates the gradients the optimizer actually uses. A diverged batch
+    returns an inf or NaN loss without a numpy warning.
     """
-    if grads_w is None or grads_b is None:
-        grads_w = [np.empty_like(w) for w in weights]
-        grads_b = [np.empty_like(b) for b in biases]
+    grads_w = [np.empty_like(w) for w in weights]
+    grads_b = [np.empty_like(b) for b in biases]
     matrix = np.asarray(matrix, dtype=np.float64)
     n = matrix.shape[0]
     sizes = [matrix.shape[1], *(w.shape[1] for w in weights)]

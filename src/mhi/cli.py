@@ -25,6 +25,7 @@ from .classify import (
     Standardizer,
     TrainedModel,
     evaluate,
+    saturated_layer,
     split_dataset,
     train_mlp,
 )
@@ -54,9 +55,9 @@ from .temporal import (
     MAX_TAU,
     build_template,
     clip_history,
+    fold_history,
     normalize_mhi,
     pack_templates,
-    window_templates,
 )
 
 log = logging.getLogger("mhi")
@@ -242,8 +243,8 @@ def cmd_train(args) -> int:
             for s in part
         ]
 
+    std_train = standardized(train)
     if args.classifier == "knn":
-        std_train = standardized(train)
         try:
             classifier = KnnModel(
                 k=args.k,
@@ -258,7 +259,7 @@ def cmd_train(args) -> int:
             batch=args.batch, seed=args.seed,
         )
         try:
-            classifier = train_mlp(standardized(train), standardized(val), cfg)
+            classifier = train_mlp(std_train, standardized(val), cfg)
         except ModelSizeError as exc:
             hidden = ",".join(map(str, args.hidden))
             raise MhiError(f"{source}: --hidden {hidden}: {exc}") from exc
@@ -267,8 +268,8 @@ def cmd_train(args) -> int:
                  epoch, len(history), history[epoch - 1])
     model = TrainedModel(tau=args.tau, theta=args.theta, standardizer=standardizer,
                          classifier=classifier)
-    # The report is made first, so a model that cannot classify its own
-    # samples is never written.
+    # The report and the saturation check come first, so a model that cannot
+    # classify its own samples is never written.
     try:
         report = "".join(
             (
@@ -282,6 +283,11 @@ def cmd_train(args) -> int:
         )
     except ForwardOverflowError as exc:
         raise NonFiniteLossError(f"{source}: training diverged: {exc}") from exc
+    if args.classifier == "mlp":
+        layer = saturated_layer(classifier, np.stack([s.features for s in std_train]))
+        if layer is not None:
+            raise NonFiniteLossError(f"{source}: training diverged: hidden layer {layer} "
+                                     "reads +-1.0 in every unit on every training sample")
     model.save(args.out)
     report_path = args.report or os.path.splitext(args.out)[0] + ".report.txt"
     _write_out(report_path, report)
@@ -336,7 +342,8 @@ def predict_windows(
         starts.append(n - size)
 
     entries = []
-    for block in window_templates(seq, model.theta, model.tau, size, starts):
+    windows = fold_history(seq, model.theta, model.tau, size, starts)
+    for block in pack_templates(windows, model.tau):
         features, moving = stack_features(block.stack, model.tau)
         results = iter(model.predict_rows(features))
         blobs = detect_secondary_blobs(block.mei)

@@ -137,34 +137,21 @@ def _nu(m00: float, mu_row: list[float]) -> list[float]:
     return [mu / m00 ** (1.0 + (p + q) / 2.0) for (p, q), mu in zip(_NU_ORDERS, mu_row[3:])]
 
 
-def stack_moments(imgs: np.ndarray) -> list[MomentSet | None]:
-    """All moments of order <= 3 of each image of a ``(B, H, W)`` stack.
-
-    An image of zero mass gets ``None``. ``nu`` holds nu_pq for
-    2 <= p+q <= 3 only; first-order nu are identically zero by construction
-    and order-zero is always 1.
-    """
-    raw, xbar, ybar, mu = _moments(np.asarray(imgs, dtype=np.float64))
-    sets = []
-    for raw_row, cx, cy, mu_row in zip(raw.tolist(), xbar.tolist(), ybar.tolist(), mu.tolist()):
-        if raw_row[0] == 0.0:
-            sets.append(None)
-            continue
-        sets.append(MomentSet(raw=dict(zip(MOMENT_ORDERS, raw_row)), centroid=(cx, cy),
-                              mu=dict(zip(MOMENT_ORDERS, mu_row)),
-                              nu=dict(zip(_NU_ORDERS, _nu(raw_row[0], mu_row)))))
-    return sets
-
-
 def scale_invariant_moments(img: np.ndarray) -> MomentSet:
-    """All moments of order <= 3 of one image: the one-image ``stack_moments``.
+    """All moments of order <= 3 of one image, with the bits ``stack_features``
+    gives it in any stack.
 
-    Raises ``ZeroMassError`` if the image has zero mass.
+    ``nu`` holds nu_pq for 2 <= p+q <= 3 only; first-order nu are identically
+    zero by construction and order-zero is always 1. Raises ``ZeroMassError``
+    if the image has zero mass.
     """
-    (ms,) = stack_moments(np.asarray(img, dtype=np.float64)[None])
-    if ms is None:
+    # Row 0 of each result as Python floats, so nu takes Python's scalar ``**``.
+    raw, xbar, ybar, mu = (a.tolist()[0] for a in
+                           _moments(np.asarray(img, dtype=np.float64)[None]))
+    if raw[0] == 0.0:
         raise ZeroMassError("image has zero intensity mass")
-    return ms
+    return MomentSet(raw=dict(zip(MOMENT_ORDERS, raw)), centroid=(xbar, ybar),
+                     mu=dict(zip(MOMENT_ORDERS, mu)), nu=dict(zip(_NU_ORDERS, _nu(raw[0], mu))))
 
 
 def _hu_i8(nu: list[float]) -> list[float]:

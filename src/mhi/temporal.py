@@ -294,13 +294,6 @@ def pack_templates(windows, tau: int):
         yield block()
 
 
-def window_templates(seq: FrameSequence, theta: float, tau: int, size: int, starts):
-    """Yield the templates of the ``size``-frame windows of ``seq`` at ``starts``
-    as ``TemplateBlock``s of at most ``block_size`` windows; see
-    ``fold_history`` for ``starts``."""
-    return pack_templates(fold_history(seq, theta, tau, size, starts), tau)
-
-
 def _template_block(ages: np.ndarray, steps: np.ndarray, tau: int, spans,
                     stack: np.ndarray) -> TemplateBlock:
     """The block of ``len(ages)`` windows, written into ``stack``: the MHIs

@@ -37,7 +37,7 @@ from mhi import moments, temporal
 from mhi.classify import KnnModel, MlpConfig, Standardizer, TrainedModel, train_mlp
 from mhi.cli import extract_samples, predict_windows
 from mhi.diagnostics import detect_secondary_blob, detect_secondary_blobs
-from mhi.errors import NoMotionError
+from mhi.errors import NoMotionError, ZeroMassError
 from mhi.imgio import (
     FrameSequence,
     SequenceRecord,
@@ -52,14 +52,14 @@ from mhi.moments import (
     feature_vector,
     flusser_i8,
     hu_moments,
+    scale_invariant_moments,
     signed_log,
     stack_features,
-    stack_moments,
 )
-from mhi.temporal import _BLOCK, build_template, motion_masks, window_templates
+from mhi.temporal import _BLOCK, build_template, motion_masks
 from test_classify import training_matches_former_loop, training_samples
 from test_diagnostics import _flood_fill_diagnostic
-from test_temporal import blocky_frames
+from test_temporal import blocky_frames, window_templates
 
 THETA = 10.0
 
@@ -85,6 +85,17 @@ def literal_invariants(img):
     }
     ms = MomentSet(raw=raw, centroid=(xbar, ybar), mu=mu, nu=nu)
     return np.append(hu_moments(ms), flusser_i8(ms))
+
+
+def stack_moments(imgs):
+    """``scale_invariant_moments`` of each image of a stack, None at zero mass."""
+    sets = []
+    for img in imgs:
+        try:
+            sets.append(scale_invariant_moments(img))
+        except ZeroMassError:
+            sets.append(None)
+    return sets
 
 
 def literal_features(mhi, mei):

@@ -348,6 +348,32 @@ def test_mlp_bias_shift_invariance():
     assert before == after
 
 
+def two_hidden_mlp(w1, b1, w2, b2):
+    """An MLP of two inputs, two hidden layers of two units and two labels."""
+    weights = [np.asarray(w1, dtype=np.float64), np.asarray(w2, dtype=np.float64), np.eye(2)]
+    biases = [np.asarray(b1, dtype=np.float64), np.asarray(b2, dtype=np.float64), np.zeros(2)]
+    return MlpModel(sizes=[2, 2, 2, 2], weights=weights, biases=biases, labels=["a", "b"])
+
+
+def test_saturated_layer_needs_every_unit_on_every_row():
+    # tanh rounds to exactly +-1.0 from about |z| >= 19; any warning fails the test.
+    rows = np.array([[1.0, -1.0], [2.0, 3.0]])
+    big = 100.0 * np.eye(2)
+    assert classify.saturated_layer(two_hidden_mlp(big, [0, 0], big, [0, 0]), rows) == 1
+    # One unit below saturation on one row keeps both layers unsaturated.
+    assert classify.saturated_layer(two_hidden_mlp(big, [0, 0], big, [0, 0]),
+                                    [[1.0, -1.0], [0.0, 3.0]]) is None
+    # The second layer's first unit reads 1.0 on every row, its second never.
+    assert classify.saturated_layer(two_hidden_mlp(np.eye(2), [0, 0], np.diag([100.0, 0.01]),
+                                                   [0, 0]), rows) is None
+    # Only the second layer saturates, through its biases.
+    assert classify.saturated_layer(two_hidden_mlp(np.eye(2), [0, 0], np.zeros((2, 2)),
+                                                   [50, -50]), rows) == 2
+    # Pre-activations that overflow to +-inf read +-1.0, without a warning.
+    huge = 1e308 * np.eye(2)
+    assert classify.saturated_layer(two_hidden_mlp(huge, [0, 0], big, [0, 0]), rows * 10) == 1
+
+
 # --- evaluation ---
 
 def test_evaluate_perfect_predictor_diagonal():
@@ -627,9 +653,6 @@ def test_forward_pass_matches_former_layer_loop(sizes, batch, scale, seed):
     assert len(activations) == len(sizes)
     for got, want in zip(activations, hidden + [probs]):
         assert same_bits(got, want)
-    model = MlpModel(sizes=sizes, weights=weights, biases=biases,
-                     labels=[str(i) for i in range(sizes[-1])])
-    assert same_bits(model.forward(matrix), probs)
 
     loss, grads_w, grads_b = mlp_loss_and_grads(weights, biases, matrix, targets)
     loss_before, grads_w_before, grads_b_before = loss_and_grads_before(

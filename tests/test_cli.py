@@ -240,6 +240,26 @@ def test_train_with_overflowing_forward_exits_three(workspace, tmp_path, caplog)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_train_with_saturated_mlp_exits_three(workspace, tmp_path, caplog):
+    # At 1e308 the one SGD step leaves weights near 2e307 and every value
+    # finite, but both tanh layers read +-1.0 in every unit on every sample.
+    model = tmp_path / "m.json"
+    assert main(["train", "--features", str(workspace["feats"]), "--classifier", "mlp",
+                 "--lr", "1e308", "--epochs", "1", "--batch", "100", "--out", str(model)]) == 3
+    assert (f"{workspace['feats']}: training diverged: hidden layer 1 reads +-1.0 in every "
+            "unit on every training sample") in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_with_partly_saturated_mlp_writes_model(workspace, tmp_path):
+    # At lr 5 some units read +-1.0 on every sample, but no sample saturates
+    # a whole layer, so the model is kept.
+    model = tmp_path / "m.json"
+    assert main(["train", "--features", str(workspace["feats"]), "--classifier", "mlp",
+                 "--lr", "5", "--epochs", "40", "--out", str(model)]) == 0
+    assert model.exists()
+
+
 def _diverged_mlp(workspace, path):
     """The model that ``train`` with ``HUGE_LR`` wrote before it checked the
     forward pass: the same split, standardization and one SGD step."""

@@ -20,8 +20,13 @@ from mhi.temporal import (
     mhi_step,
     motion_masks,
     normalize_mhi,
-    window_templates,
 )
+
+
+def window_templates(seq, theta, tau, size, starts):
+    """The ``TemplateBlock``s of the ``size``-frame windows of ``seq`` at
+    ``starts``, as ``predict`` makes them."""
+    return temporal.pack_templates(temporal.fold_history(seq, theta, tau, size, starts), tau)
 
 
 def fold(masks, tau):
