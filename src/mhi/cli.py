@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import logging
 import math
@@ -73,36 +74,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _window_size(value: str) -> int:
-    size = int(value)
-    if size < 2:
-        raise argparse.ArgumentTypeError("window must be >= 2")
-    return size
+def _integer(low: int, high: int | None = None):
+    """The argparse type of an integer flag bounded to ``[low, high]``; its
+    name ``integer`` is what argparse shows for a value that is not one."""
 
+    def integer(value: str) -> int:
+        number = int(value)
+        if number < low:
+            raise argparse.ArgumentTypeError(f"value must be >= {low}, got {value}")
+        if high is not None and number > high:
+            raise argparse.ArgumentTypeError(f"value must be <= {high}, got {value}")
+        return number
 
-def _positive(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    return number
-
-
-def _non_negative(value: str) -> int:
-    number = int(value)
-    if number < 0:
-        raise argparse.ArgumentTypeError(f"value must be >= 0, got {value}")
-    return number
-
-
-def _tau(value: str) -> int:
-    tau = _positive(value)
-    if tau > MAX_TAU:
-        raise argparse.ArgumentTypeError(f"tau must be <= {MAX_TAU}, got {value}")
-    return tau
+    return integer
 
 
 def _learning_rate(value: str) -> float:
-    rate = float(value)
+    try:
+        rate = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {value!r}")
     if not 0 < rate < math.inf:
         raise argparse.ArgumentTypeError(f"learning rate must be finite and > 0, got {value}")
     return rate
@@ -238,19 +229,15 @@ def cmd_train(args) -> int:
         raise MhiError(f"{source}: {exc}") from exc
 
     def standardized(part):
-        return [
-            LabeledSample(standardizer.apply(s.features), s.label, s.source)
-            for s in part
-        ]
+        """The standardized matrix of ``part``, and its samples on its rows."""
+        matrix = standardizer.apply(np.stack([s.features for s in part]))
+        return matrix, [LabeledSample(row, s.label, s.source) for row, s in zip(matrix, part)]
 
-    std_train = standardized(train)
+    train_matrix, std_train = standardized(train)
     if args.classifier == "knn":
         try:
-            classifier = KnnModel(
-                k=args.k,
-                vectors=np.stack([s.features for s in std_train]),
-                labels=[s.label for s in std_train],
-            )
+            classifier = KnnModel(k=args.k, vectors=train_matrix,
+                                  labels=[s.label for s in train])
         except ValueError as exc:
             raise MhiError(f"{source}: {exc}") from exc
     else:
@@ -259,7 +246,7 @@ def cmd_train(args) -> int:
             batch=args.batch, seed=args.seed,
         )
         try:
-            classifier = train_mlp(std_train, standardized(val), cfg)
+            classifier = train_mlp(std_train, standardized(val)[1], cfg)
         except ModelSizeError as exc:
             hidden = ",".join(map(str, args.hidden))
             raise MhiError(f"{source}: --hidden {hidden}: {exc}") from exc
@@ -284,7 +271,7 @@ def cmd_train(args) -> int:
     except ForwardOverflowError as exc:
         raise NonFiniteLossError(f"{source}: training diverged: {exc}") from exc
     if args.classifier == "mlp":
-        layer = saturated_layer(classifier, np.stack([s.features for s in std_train]))
+        layer = saturated_layer(classifier, train_matrix)
         if layer is not None:
             raise NonFiniteLossError(f"{source}: training diverged: hidden layer {layer} "
                                      "reads +-1.0 in every unit on every training sample")
@@ -404,10 +391,13 @@ def cmd_synth(args) -> int:
 def _add_pipeline_flags(parser):
     parser.add_argument("--theta", type=_theta, default=25.0,
                         help="frame-difference threshold")
-    parser.add_argument("--tau", type=_tau, default=300,
+    parser.add_argument("--tau", type=_integer(1, MAX_TAU), default=300,
                         help="history window length in frames")
 
 
+# Built once per process: argparse looks ``sys.stderr`` up when it reports an
+# error, so a caller's capture still works.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mhi",
@@ -430,15 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--manifest", help="sequence manifest (features extracted on the fly)")
     p.add_argument("--classifier", choices=("knn", "mlp"), required=True)
     _add_pipeline_flags(p)
-    p.add_argument("--k", type=_positive, default=5, help="KNN neighbor count")
+    p.add_argument("--k", type=_integer(1), default=5, help="KNN neighbor count")
     p.add_argument("--lr", type=_learning_rate, default=MlpConfig.lr, help="MLP learning rate")
-    p.add_argument("--epochs", type=_positive, default=MlpConfig.epochs,
+    p.add_argument("--epochs", type=_integer(1), default=MlpConfig.epochs,
                    help="MLP training epochs")
-    p.add_argument("--batch", type=_positive, default=MlpConfig.batch,
+    p.add_argument("--batch", type=_integer(1), default=MlpConfig.batch,
                    help="MLP mini-batch size")
     p.add_argument("--hidden", type=_hidden_sizes, default=MlpConfig.hidden,
                    help="MLP hidden layer sizes, comma-separated")
-    p.add_argument("--seed", type=_non_negative, default=0,
+    p.add_argument("--seed", type=_integer(0), default=0,
                    help="seed for the split shuffle and MLP training")
     p.add_argument("--out", required=True, help="model JSON output path")
     p.add_argument("--report", default=None,
@@ -456,9 +446,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sliding-window labels for a frame directory")
     p.add_argument("--model", required=True)
     p.add_argument("--frames", required=True, help="directory of NNNNNN.pgm frames")
-    p.add_argument("--window", type=_window_size, default=None,
+    p.add_argument("--window", type=_integer(2), default=None,
                    help="window length in frames (default: model tau)")
-    p.add_argument("--stride", type=_positive, default=None,
+    p.add_argument("--stride", type=_integer(1), default=None,
                    help="window step (default: window/2, min 1)")
     p.add_argument("--out", default=None, help="JSON output path (default stdout)")
     p.set_defaults(func=cmd_predict)
@@ -483,8 +473,8 @@ def _hidden_sizes(value: str) -> tuple[int, ...]:
     try:
         sizes = tuple(int(part) for part in value.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad hidden sizes: {value!r}")
-    if not sizes or any(s < 1 for s in sizes):
+        sizes = ()
+    if not sizes or min(sizes) < 1:
         raise argparse.ArgumentTypeError(f"bad hidden sizes: {value!r}")
     return sizes
 

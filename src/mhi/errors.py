@@ -35,12 +35,8 @@ class ManifestParseError(MhiError):
         self.line_no = line_no
 
 
-class FrameRangeError(MhiError):
+class FrameRangeError(ManifestParseError):
     """A manifest record has end < start; carries the 1-based line number."""
-
-    def __init__(self, line_no, message):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class MissingFrameError(MhiError):

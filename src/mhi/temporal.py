@@ -258,7 +258,6 @@ def pack_templates(windows, tau: int):
     also holds the ages of the windows being gathered, so a block is valid
     until the next one is drawn; copy what must outlive it.
     """
-    windows = iter(windows)
     ages = steps = stack = None
     spans = []
 
@@ -266,30 +265,26 @@ def pack_templates(windows, tau: int):
         count = len(spans)
         return _template_block(ages[:count], steps[:count], tau, spans, stack[: 2 * count])
 
-    while True:
-        try:
-            window = next(windows, None)
-        except Exception:
-            if spans:
+    try:
+        for last, t, window_steps, span in windows:
+            if spans and (len(spans) == len(ages) or last.shape != ages.shape[1:]):
                 yield block()
-            raise
-        if window is None:
-            break
-        last, t, window_steps, span = window
-        if spans and (len(spans) == len(ages) or last.shape != ages.shape[1:]):
+                spans = []
+            if ages is None or last.shape != ages.shape[1:]:
+                size = block_size(last.shape)
+                stack = np.empty((2 * size, *last.shape), dtype=np.float64)
+                # The int32 ages fill the first half of the bytes of the MEI half,
+                # which ``_template_block`` writes only after it has read them.
+                ages = stack[size:].view(np.int32).reshape(-1)[: stack[size:].size]
+                ages = ages.reshape(size, *last.shape)
+                steps = np.empty((size, 1, 1), dtype=np.int32)
+            np.subtract(t, last, out=ages[len(spans)])
+            steps[len(spans)] = window_steps
+            spans.append(span)
+    except Exception:
+        if spans:
             yield block()
-            spans = []
-        if ages is None or last.shape != ages.shape[1:]:
-            size = block_size(last.shape)
-            stack = np.empty((2 * size, *last.shape), dtype=np.float64)
-            # The int32 ages fill the first half of the bytes of the MEI half,
-            # which ``_template_block`` writes only after it has read them.
-            ages = stack[size:].view(np.int32).reshape(-1)[: stack[size:].size]
-            ages = ages.reshape(size, *last.shape)
-            steps = np.empty((size, 1, 1), dtype=np.int32)
-        np.subtract(t, last, out=ages[len(spans)])
-        steps[len(spans)] = window_steps
-        spans.append(span)
+        raise
     if spans:
         yield block()
 
