@@ -106,6 +106,36 @@ def _theta(value: str) -> float:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _report_path(args) -> str:
+    return args.report or os.path.splitext(args.out)[0] + ".report.txt"
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        if os.path.exists(a) and os.path.exists(b):
+            return os.path.samefile(a, b)
+        return os.path.realpath(a) == os.path.realpath(b)
+    except (OSError, ValueError):  # say an embedded NUL byte, which open() reports
+        return False
+
+
+def _shared_file(args) -> str | None:
+    """The usage error for an output flag that names the same file as another
+    of the command's file flags (outputs first, then inputs), or None."""
+    paths = {name: getattr(args, name, None)
+             for name in ("out", "report", "features", "manifest", "model")}
+    if args.command == "train":
+        paths["report"] = _report_path(args)
+    files = [(f"--{name}", path) for name, path in paths.items() if path is not None]
+    for i, (flag, path) in enumerate(files):
+        if flag not in ("--out", "--report"):
+            break
+        for other, other_path in files[i + 1:]:
+            if _same_file(path, other_path):
+                return f"{flag} and {other} name the same file: {path}"
+    return None
+
+
 def _write_out(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -276,7 +306,7 @@ def cmd_train(args) -> int:
             raise NonFiniteLossError(f"{source}: training diverged: hidden layer {layer} "
                                      "reads +-1.0 in every unit on every training sample")
     model.save(args.out)
-    report_path = args.report or os.path.splitext(args.out)[0] + ".report.txt"
+    report_path = _report_path(args)
     _write_out(report_path, report)
     log.info("model written to %s, report to %s", args.out, report_path)
     return 0
@@ -466,6 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
+    parser.commands = sub.choices  # subcommand name -> its parser
     return parser
 
 
@@ -483,6 +514,9 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
+    shared = _shared_file(args)
+    if shared is not None:
+        build_parser().commands[args.command].error(shared)
     try:
         return args.func(args)
     except NonFiniteLossError as exc:

@@ -15,8 +15,10 @@ only the frames it still needs. ``load_sequence`` stacks what it yields.
 Each file goes through ``read_pgm``, which returns a read-only view of the
 file's pixel bytes rather than a copy, so a frame is copied once, by
 whoever gathers it. The frames of a clip share one header, and
-``read_pgm`` keeps the last valid one, so it parses that header once per
-clip and still checks every frame's pixel data.
+``read_pgm`` keeps the header of the last frame it decoded in full, so it
+parses that header once per clip and still checks every frame's pixel
+data. ``read_pgm_file`` sizes its read from that header, so a clip's
+frames after the first need no ``fstat``.
 """
 
 from __future__ import annotations
@@ -104,8 +106,9 @@ def require_frame(frame: np.ndarray, stack: bool = False) -> np.ndarray:
     return frame
 
 
-# The header last decoded without error: its bytes up to and including the one
-# whitespace byte after maxval, then (pixel offset, height, width, maxval).
+# The header of the last frame decoded in full, set only after its length and
+# pixel checks pass: its bytes up to and including the one whitespace byte
+# after maxval, then (pixel offset, height, width, maxval).
 # It is a cache only: any data decodes as a fresh parse would decode it, so
 # the callers and threads that share it see no difference but the time.
 _last_header: tuple[bytes, int, int, int, int] | None = None
@@ -115,12 +118,13 @@ def read_pgm(data: bytes) -> np.ndarray:
     """Decode a binary PGM (P5) byte stream into a uint8 frame.
 
     The frame is a view of ``data``'s pixel bytes, not a copy; for ``bytes``
-    input it is read-only. The fields of the last valid header are kept with
-    its bytes, up to and including the whitespace byte after maxval. Data
-    that starts with those bytes skips the header parse and its checks: the
-    header pattern reads no byte past that whitespace byte, so the parse
-    would give the same fields. The frames of one clip share a header, so it
-    is parsed once per clip. The length and pixel checks run on every call.
+    input it is read-only. The fields of the last header whose frame decoded
+    in full are kept with its bytes, up to and including the whitespace byte
+    after maxval. Data that starts with those bytes skips the header parse and
+    its checks: the header pattern reads no byte past that whitespace byte, so
+    the parse would give the same fields. The frames of one clip share a
+    header, so it is parsed once per clip. The length and pixel checks run on
+    every call.
 
     Raises ``MalformedHeaderError`` for a bad magic or header fields,
     ``UnsupportedMaxvalError`` for maxval > 255, ``TruncatedDataError``
@@ -132,14 +136,16 @@ def read_pgm(data: bytes) -> np.ndarray:
     if last is not None and data.startswith(last[0]):
         _, pos, height, width, maxval = last
     else:
+        last = None
         pos, height, width, maxval = _header(data)
-        _last_header = (bytes(data[:pos]), pos, height, width, maxval)
     size = width * height
     if len(data) - pos < size:
         raise TruncatedDataError(f"expected {size} pixel bytes, got {len(data) - pos}")
     frame = np.frombuffer(data, np.uint8, size, pos).reshape(height, width)
     if maxval < 255 and frame.max() > maxval:
         raise PixelRangeError(f"pixel value {frame.max()} > maxval {maxval}")
+    if last is None:
+        _last_header = (bytes(data[:pos]), pos, height, width, maxval)
     return frame
 
 
@@ -188,10 +194,23 @@ def write_pgm(frame: np.ndarray) -> bytes:
 
 
 def read_pgm_file(path: str | os.PathLike) -> np.ndarray:
-    """Decode the PGM file at ``path``; decode and read errors name it."""
+    """Decode the PGM file at ``path``; decode and read errors name it.
+
+    With a header in the memo, the file is first read with one ``os.read``
+    of one byte more than that header's frame. A read that comes back short
+    holds the whole file, so ``fstat`` sizes only the reads of a longer
+    file, or of any file when the memo is empty. ``read_pgm`` decodes every
+    file either way.
+    """
+    last = _last_header
     fd = os.open(path, os.O_RDONLY)
     try:
-        data = os.read(fd, os.fstat(fd).st_size)
+        size = 0 if last is None else last[1] + last[2] * last[3] + 1
+        data = os.read(fd, size) if size else b""
+        if len(data) == size:  # no memo, or a file longer than its frame
+            if size:
+                os.lseek(fd, 0, os.SEEK_SET)
+            data = os.read(fd, os.fstat(fd).st_size)
     except OSError as exc:
         # os.read reports no filename, for example EISDIR for a directory.
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc

@@ -77,6 +77,8 @@ class LabeledSample:
 
 def _powers(v: np.ndarray) -> np.ndarray:
     """``v**0 .. v**3`` stacked on a new second-to-last axis."""
+    # ``v**3`` is slow on negative bases, but ``v*v*v`` and ``-((-v)**3)``
+    # round differently (in 26% and 5% of entries), so the pins need ``**``.
     return np.stack([v**k for k in range(4)], axis=-2)
 
 

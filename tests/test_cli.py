@@ -755,6 +755,63 @@ def test_out_of_range_flags_are_usage_errors_naming_the_flag(workspace, tmp_path
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("case", [
+    "train_report_is_out", "train_out_is_features", "train_default_report_is_features",
+    "train_out_is_a_hard_link", "train_paths_spelled_apart", "predict_out_is_model",
+    "extract_out_is_manifest", "eval_out_is_model", "eval_out_is_features",
+])
+def test_an_output_that_is_one_of_the_commands_files_is_refused(workspace, tmp_path, capsys,
+                                                                 case):
+    feats, knn = str(tmp_path / "g.csv"), str(tmp_path / "k.json")
+    shutil.copy(workspace["feats"], feats)
+    shutil.copy(workspace["knn"], knn)
+    manifest = shutil.copy(workspace["clips"] / "manifest.jsonl", tmp_path)
+    (tmp_path / "d").mkdir()
+    model, link, report = (str(tmp_path / name) for name in ("m.json", "l.csv", "m.report.txt"))
+    os.link(feats, link)
+    shutil.copy(feats, report)
+    train = ["train", "--classifier", "knn", "--features"]
+    argv, flags, path = {
+        "train_report_is_out": (train + [feats, "--out", model, "--report", model],
+                                ("--out", "--report"), model),
+        "train_out_is_features": (train + [feats, "--out", feats], ("--out", "--features"), feats),
+        "train_default_report_is_features": (train + [report, "--out", model],
+                                             ("--report", "--features"), report),
+        "train_out_is_a_hard_link": (train + [feats, "--out", link], ("--out", "--features"), link),
+        "train_paths_spelled_apart": (
+            train + [feats, "--out", str(tmp_path / "d" / ".." / "m.json"), "--report", model],
+            ("--out", "--report"), str(tmp_path / "d" / ".." / "m.json")),
+        "predict_out_is_model": (["predict", "--model", knn, "--frames",
+                                  str(workspace["clips"] / "slide_000"), "--out", knn],
+                                 ("--out", "--model"), knn),
+        "extract_out_is_manifest": (["extract", "--manifest", manifest, "--out", manifest],
+                                    ("--out", "--manifest"), manifest),
+        "eval_out_is_model": (["eval", "--model", knn, "--features", feats, "--out", knn],
+                              ("--out", "--model"), knn),
+        "eval_out_is_features": (["eval", "--model", knn, "--features", feats, "--out", feats],
+                                 ("--out", "--features"), feats),
+    }[case]
+    files = sorted(tmp_path.rglob("*"))
+    before = [entry.read_bytes() for entry in files if entry.is_file()]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: mhi {argv[0]} [-h] ")
+    assert err.endswith(f"\nmhi {argv[0]}: error: {flags[0]} and {flags[1]} "
+                        f"name the same file: {path}\n")
+    assert sorted(tmp_path.rglob("*")) == files
+    assert [entry.read_bytes() for entry in files if entry.is_file()] == before
+
+
+def test_a_path_no_file_can_have_is_still_a_data_error(workspace, tmp_path, caplog):
+    model = tmp_path / "m.json"
+    assert main(["train", "--features", "g\0.csv", "--classifier", "knn",
+                 "--out", str(model)]) == 2
+    assert "embedded null byte" in caplog.text
+    assert not model.exists()
+
+
 def test_tau_of_two_to_the_53_extracts_trains_and_loads(workspace, tmp_path):
     feats, model = tmp_path / "f.csv", tmp_path / "m.json"
     tau = str(2**53)

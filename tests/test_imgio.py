@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -466,17 +467,28 @@ def _memo_pairs(draw):
         + draw(_PAYLOAD)
 
 
+_MEMO_EXAMPLES = [
+    (b"P5 # c\n2 1\n255\n\x01\x02", b"P5 # c\n2 1\n255\n\x03\x04"),  # comment
+    (b"P5 # c\n2 1\n255\n\x01\x02", b"P5 # c2 1\n255\n\x03\x04"),  # it eats a token
+    (b"P5\t 2 \r\n1\x0b255\x0c\x01\x02", b"P5\t 2 \r\n1\x0b255\x0c\xff"),  # padding
+    (b"P5 2 1 15\n\x0f\x0f", b"P5 2 1 15\n\x0f\x10"),  # maxval below 255
+    (b"P5 2 2 255\n" + bytes(4), b"P5 2 2 255\n" + bytes(3)),  # truncated payload
+    (b"P5 3 1 255\n\n\t ", b"P5 3 1 255\n \r\x0b"),  # whitespace-valued pixels
+    (b"P5 2 1 25\n\x01\x02", b"P5 2 1 255\n\x01\x02"),  # a header only as a prefix
+    (b"P5 1 1 255\n\x01", b"P5 12 1 255\n" + bytes(12)),
+    (b"P5 2 1 2\n\x01\x02", b"P5 2 1 2"),
+]
+
+
+def _memo_examples(test):
+    for pair in reversed(_MEMO_EXAMPLES):
+        test = example(pair)(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(_memo_pairs())
-@example((b"P5 # c\n2 1\n255\n\x01\x02", b"P5 # c\n2 1\n255\n\x03\x04"))  # comment
-@example((b"P5 # c\n2 1\n255\n\x01\x02", b"P5 # c2 1\n255\n\x03\x04"))  # it eats a token
-@example((b"P5\t 2 \r\n1\x0b255\x0c\x01\x02", b"P5\t 2 \r\n1\x0b255\x0c\xff"))  # padding
-@example((b"P5 2 1 15\n\x0f\x0f", b"P5 2 1 15\n\x0f\x10"))  # maxval below 255
-@example((b"P5 2 2 255\n" + bytes(4), b"P5 2 2 255\n" + bytes(3)))  # truncated payload
-@example((b"P5 3 1 255\n\n\t ", b"P5 3 1 255\n \r\x0b"))  # whitespace-valued pixels
-@example((b"P5 2 1 25\n\x01\x02", b"P5 2 1 255\n\x01\x02"))  # a header only as a prefix
-@example((b"P5 1 1 255\n\x01", b"P5 12 1 255\n" + bytes(12)))
-@example((b"P5 2 1 2\n\x01\x02", b"P5 2 1 2"))
+@_memo_examples
 def test_read_pgm_after_another_equals_read_pgm_alone(pair):
     """``read_pgm(b)`` decodes or fails alike whatever header it decoded before."""
     a, b = pair
@@ -485,6 +497,25 @@ def test_read_pgm_after_another_equals_read_pgm_alone(pair):
     imgio._last_header = None
     _outcome(read_pgm, a)
     assert _outcome(read_pgm, b) == alone
+
+
+@settings(max_examples=300, deadline=None)
+@given(_memo_pairs())
+@_memo_examples
+def test_read_pgm_file_after_another_equals_read_pgm_file_alone(pair):
+    """File ``b`` read after file ``a`` decodes or fails as with no memo,
+    whether the read sized from ``a``'s header or ``fstat`` serves it."""
+    a, b = pair
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = os.path.join(tmp, "a.pgm"), os.path.join(tmp, "b.pgm")
+        for path, data in ((first, a), (second, b)):
+            with open(path, "wb") as fh:
+                fh.write(data)
+        imgio._last_header = None
+        alone = _outcome(read_pgm_file, second)
+        imgio._last_header = None
+        _outcome(read_pgm_file, first)
+        assert _outcome(read_pgm_file, second) == alone
 
 
 def test_read_pgm_parses_a_repeated_header_once():
@@ -634,3 +665,47 @@ def test_read_frames_checks_each_payload_after_a_repeated_header(tmp_path, last,
         next(frames)
     assert str(info.value) == f"{paths[2]}: {message}"
 
+
+def test_read_pgm_file_reads_a_repeated_header_without_fstat_or_a_parse(tmp_path):
+    pixels = bytes(range(0, 120, 20))
+    paths = _write_files(tmp_path / "clip", _clip_files(*[b"P5\n3 2\n200\n"] * 6,
+                                                        pixels=pixels))
+    imgio._last_header = None
+    read_pgm_file(paths[0])
+    with mock.patch.object(imgio.os, "fstat", wraps=os.fstat) as fstat, \
+            mock.patch.object(imgio, "_header", wraps=imgio._header) as parse:
+        frames = [read_pgm_file(path) for path in paths[1:]]
+    assert (fstat.call_count, parse.call_count) == (0, 0)
+    assert [(frame.shape, frame.tobytes()) for frame in frames] == [((2, 3), pixels)] * 5
+
+
+def test_read_frames_decodes_every_file_through_read_pgm(tmp_path):
+    # A traced run counts frames and bytes at ``read_pgm``.
+    _write_files(tmp_path / "clip", _clip_files(*[b"P5\n3 2\n255\n"] * 4)
+                 + [b"P5\n3 2\n255\n" + bytes(8)])  # the last one is longer than its frame
+    imgio._last_header = None
+    with mock.patch.object(imgio, "read_pgm", wraps=imgio.read_pgm) as decode:
+        frames = list(read_frames(SequenceRecord(dir="clip", start=0, end=4), root=tmp_path))
+    assert [len(call.args[0]) for call in decode.call_args_list] == [17] * 4 + [19]
+    assert [frame.shape for frame in frames] == [(2, 3)] * 5
+
+
+def test_a_header_whose_frame_fails_is_not_kept(tmp_path):
+    # A header claiming 10**10 pixels over 4 bytes must not size the next read.
+    good, huge = tmp_path / "good.pgm", tmp_path / "huge.pgm"
+    write_pgm_file(good, np.arange(20, dtype=np.uint8).reshape(4, 5))
+    huge.write_bytes(b"P5 100000 100000 255\n" + bytes(4))
+    imgio._last_header = None
+    read_pgm_file(good)
+    kept = imgio._last_header
+    with pytest.raises(TruncatedDataError):
+        read_pgm_file(huge)
+    assert imgio._last_header == kept
+    tracemalloc.start()
+    try:
+        frame = read_pgm_file(good)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert frame.tobytes() == bytes(range(20))
