@@ -23,7 +23,7 @@ the same multiply and subtract, so the trained bits do not depend on it.
 The step's backprop allocates nothing: it writes activations, deltas and
 gradients into buffers made once per batch size, takes one-hot
 targets gathered once per epoch, and forms the loss only to report a
-divergence. Each of its numpy calls is a float operation of ``_forward`` or
+divergence. Its numpy calls are bound to those buffers once per run. Each of its numpy calls is a float operation of ``_forward`` or
 of a backprop on fresh arrays, so the bits are theirs. A net of more than
 ``MLP_MAX_PARAMS`` weights and biases is refused before any is drawn, and
 so is a pass whose widest layer would hold more than
@@ -37,6 +37,7 @@ exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -362,6 +363,77 @@ def _step_buffers(rows: int, sizes: list[int]) -> tuple:
             np.empty((rows, 1)))
 
 
+def _step_plan(buffers, weights, weights_t, biases, matrix, onehot, mask,
+               grads_w, grads_b) -> tuple:
+    """A backprop step on ``_step_buffers``, bound once and run by
+    ``_run_step`` any number of times: the forward calls, the divergence
+    check, the backward calls, and the ``probs``, ``mask`` and row count of
+    the loss. The targets are float64 ``onehot`` and bool ``mask`` rows, and
+    ``weights_t`` holds each weight's ``.T`` view.
+
+    Every operand, axis and output is bound positionally, so a run does no
+    keyword parsing, indexing or slicing. The calls keep only views, so a
+    run reads whatever the bound arrays hold at that moment. Each numpy call
+    is a float operation of ``_forward`` or of a backprop on fresh arrays,
+    each product the same ``np.matmul``, so the bits are theirs; ``delta -=
+    onehot`` is ``delta[target] -= 1.0``, as p - 0.0 = p.
+    """
+    bind = functools.partial
+    outs, outs_t, deltas, col = buffers
+    forward, layer_in = [], matrix
+    for w, b, out in zip(weights[:-1], biases[:-1], outs):
+        forward += [bind(np.matmul, layer_in, w, out), bind(np.add, out, b, out),
+                    bind(np.tanh, out, out)]
+        layer_in = out
+    probs = outs[-1]
+    forward += [bind(np.matmul, layer_in, weights[-1], probs),
+                bind(np.add, probs, biases[-1], probs),
+                bind(np.maximum.reduce, probs, 1, None, col, True),
+                bind(np.subtract, probs, col, probs), bind(np.exp, probs, probs),
+                bind(np.add.reduce, probs, 1, None, col, True),
+                bind(np.divide, probs, col, probs)]
+    # The least target probability, 1.0 past the mask's one entry per row.
+    check = bind(np.minimum.reduce, probs, None, None, None, False, 1.0, mask)
+    # The probabilities are not needed past the loss, so they become delta.
+    n, delta = matrix.shape[0], probs
+    backward = [bind(np.subtract, delta, onehot, delta), bind(np.divide, delta, n, delta)]
+    for layer in range(len(weights) - 1, 0, -1):
+        # tanh'(z) expressed through the activation itself: 1 - a^2, formed
+        # in the activation's buffer, which nothing reads after this.
+        act, back = outs[layer - 1], deltas[layer - 1]
+        backward += [bind(np.matmul, outs_t[layer - 1], delta, grads_w[layer]),
+                     bind(np.add.reduce, delta, 0, None, grads_b[layer]),
+                     bind(np.matmul, delta, weights_t[layer], back),
+                     bind(np.square, act, act), bind(np.subtract, 1.0, act, act),
+                     bind(np.multiply, back, act, back)]
+        delta = back
+    backward += [bind(np.matmul, matrix.T, delta, grads_w[0]),
+                 bind(np.add.reduce, delta, 0, None, grads_b[0])]
+    return tuple(forward), check, tuple(backward), probs, mask, n
+
+
+def _run_step(plan: tuple, loss: bool = False) -> float | None:
+    """Run a ``_step_plan`` once. Returns the loss when ``loss`` is set or it
+    is not finite, else None.
+
+    With probabilities in [0, 1] and a NaN spreading to its whole row, the
+    loss is not finite exactly when some target probability is not > 0.
+    Overflow shows up as inf or NaN; the caller holds the ``errstate`` that
+    silences numpy's warnings about it.
+    """
+    forward, check, backward, probs, mask, n = plan
+    for call in forward:
+        call()
+    value = None
+    if loss or not check() > 0:
+        # np.mean's sum and division, without its wrapper; ``probs[mask]``
+        # holds one target probability per row, in row order.
+        value = float(-(np.add.reduce(np.log(probs[mask])) / n))
+    for call in backward:
+        call()
+    return value
+
+
 def _backprop(
     buffers: tuple,
     weights: list[np.ndarray],
@@ -374,61 +446,11 @@ def _backprop(
     grads_b: list[np.ndarray],
     loss: bool = False,
 ) -> float | None:
-    """The body of ``mlp_loss_and_grads`` on ``_step_buffers``, with the
-    targets as float64 ``onehot`` and bool ``mask`` rows and each weight's
-    ``.T`` view in ``weights_t``.
-
-    Each numpy call is a float operation of ``_forward`` or of a backprop on
-    fresh arrays, each product the same ``np.matmul``, written into
-    ``buffers`` or the gradients, so the bits are theirs; ``delta -=
-    onehot`` is ``delta[target] -= 1.0``, as p - 0.0 = p.
-    Returns the loss when ``loss`` is set or it is not finite, else None.
-    With probabilities in [0, 1] and a NaN spreading to its whole row, the
-    loss is not finite exactly when some target probability is not > 0.
-    Overflow shows up as inf or NaN; the caller holds the ``errstate`` that
-    silences numpy's warnings about it.
-    """
-    outs, outs_t, deltas, col = buffers
-    layer_in = matrix
-    for w, b, out in zip(weights[:-1], biases[:-1], outs):
-        np.matmul(layer_in, w, out=out)
-        np.add(out, b, out=out)
-        np.tanh(out, out=out)
-        layer_in = out
-    probs = outs[-1]
-    np.matmul(layer_in, weights[-1], out=probs)
-    np.add(probs, biases[-1], out=probs)
-    np.maximum.reduce(probs, axis=1, keepdims=True, out=col)
-    np.subtract(probs, col, out=probs)
-    np.exp(probs, out=probs)
-    np.add.reduce(probs, axis=1, keepdims=True, out=col)
-    np.divide(probs, col, out=probs)
-
-    n = matrix.shape[0]
-    value = None
-    if loss or not np.minimum.reduce(probs, axis=None, where=mask, initial=1.0) > 0:
-        # np.mean's sum and division, without its wrapper; ``probs[mask]``
-        # holds one target probability per row, in row order.
-        value = float(-(np.add.reduce(np.log(probs[mask])) / n))
-
-    # The probabilities are not needed past the loss, so they become delta.
-    delta = probs
-    np.subtract(delta, onehot, out=delta)
-    np.divide(delta, n, out=delta)
-    for layer in range(len(weights) - 1, 0, -1):
-        np.matmul(outs_t[layer - 1], delta, out=grads_w[layer])
-        np.add.reduce(delta, axis=0, out=grads_b[layer])
-        # tanh'(z) expressed through the activation itself: 1 - a^2, formed
-        # in the activation's buffer, which nothing reads after this.
-        act, back = outs[layer - 1], deltas[layer - 1]
-        np.matmul(delta, weights_t[layer], out=back)
-        np.square(act, out=act)
-        np.subtract(1.0, act, out=act)
-        np.multiply(back, act, out=back)
-        delta = back
-    np.matmul(matrix.T, delta, out=grads_w[0])
-    np.add.reduce(delta, axis=0, out=grads_b[0])
-    return value
+    """The body of ``mlp_loss_and_grads``: a ``_step_plan`` on these arrays,
+    run once. ``train_mlp`` binds the same plans once per batch and runs
+    them every step."""
+    return _run_step(_step_plan(buffers, weights, weights_t, biases, matrix, onehot, mask,
+                                grads_w, grads_b), loss)
 
 
 def mlp_loss_and_grads(
@@ -439,10 +461,11 @@ def mlp_loss_and_grads(
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean cross-entropy of a batch plus gradients for every parameter.
 
-    This is the single backprop implementation: ``train_mlp`` runs its core,
-    ``_backprop``, directly, so a finite-difference check of this function
-    validates the gradients the optimizer actually uses. A diverged batch
-    returns an inf or NaN loss without a numpy warning.
+    This is the single backprop implementation: it runs one ``_step_plan``
+    through ``_backprop``, and ``train_mlp`` runs the same plans, bound once
+    per batch, so a finite-difference check of this function validates the
+    gradients the optimizer actually uses. A diverged batch returns an inf
+    or NaN loss without a numpy warning.
     """
     grads_w = [np.empty_like(w) for w in weights]
     grads_b = [np.empty_like(b) for b in biases]
@@ -487,7 +510,9 @@ def train_mlp(
     activations and deltas go to one set of buffers for the full batches
     and one for a shorter last batch. Both are sized by the rows a batch
     holds, so a ``batch`` above the training set size allocates by that
-    size.
+    size. Each batch's step is bound once per run (``_step_plan``) and run
+    as a tuple of calls with every operand in place: the same calls as an
+    unbound step, not a fusion of them.
     """
     labels = sorted({s.label for s in train})
     if len(labels) < 2:
@@ -534,11 +559,16 @@ def train_mlp(
     rows, last_rows = min(cfg.batch, n), n - starts[-1]
     full = _step_buffers(rows, sizes)
     last = full if last_rows == rows else _step_buffers(last_rows, sizes)
-    batches = [
-        (x_epoch[start:start + rows], onehot_epoch[start:start + rows],
-         mask_epoch[start:start + rows], last if start == starts[-1] else full)
+    # Each batch views the epoch buffers that ``np.take`` refills in place,
+    # so its step is bound once and sees every epoch's rows.
+    plans = [
+        _step_plan(last if start == starts[-1] else full, weights, weights_t, biases,
+                   x_epoch[start:start + rows], onehot_epoch[start:start + rows],
+                   mask_epoch[start:start + rows], grads_w, grads_b)
         for start in starts
     ]
+    scale = functools.partial(np.multiply, grads, cfg.lr, grads)
+    update = functools.partial(np.subtract, params, grads, params)
     # A huge learning rate can overflow the update or the backward pass; the
     # next step's loss then reports it, so numpy's warnings add nothing.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -547,13 +577,12 @@ def train_mlp(
             for source, epoch in ((x_train, x_epoch), (onehot_train, onehot_epoch),
                                   (mask_train, mask_epoch)):
                 np.take(source, order, axis=0, out=epoch)
-            for x, onehot, mask, buffers in batches:
-                loss = _backprop(buffers, weights, weights_t, biases, x, onehot, mask,
-                                 grads_w, grads_b)
+            for plan in plans:
+                loss = _run_step(plan)
                 if loss is not None:
                     raise NonFiniteLossError(f"loss diverged to {loss}")
-                grads *= cfg.lr
-                params -= grads
+                scale()  # grads *= lr
+                update()  # params -= grads
             predicted = _forward(weights, biases, x_select)[-1].argmax(axis=1)
             # np.mean of the matches: an exact count over the row count.
             acc = np.count_nonzero(predicted == y_select) / len(y_select)

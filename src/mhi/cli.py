@@ -14,6 +14,7 @@ import io
 import logging
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -136,12 +137,64 @@ def _shared_file(args) -> str | None:
     return None
 
 
+def _open_beside(target: str, path: str) -> tuple[int, str]:
+    """A new file in ``target``'s directory, open for writing, and its name.
+    Its mode is the one ``open`` gives a new file, ``0o666 & ~umask``; an
+    error names ``path``, the target as the user spelled it."""
+    while True:
+        temp = os.path.join(os.path.dirname(target), f".mhi-{os.urandom(6).hex()}.tmp")
+        try:
+            return os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), temp
+        except FileExistsError:
+            continue
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from exc
+
+
+def _write_files(*files: tuple[str, bytes]) -> None:
+    """Write each ``(path, data)``, all or none: each goes to a new file
+    beside its target, and ``os.replace`` moves them over their targets only
+    once every write has succeeded, so a failed command leaves every output
+    as it was. A symlinked output replaces the file it points to, and an
+    existing output keeps its permission bits. An existing target that is
+    not a regular file, such as ``/dev/null`` or a FIFO, is written in place
+    after the others are staged: a rename would replace the node itself.
+    """
+    staged, in_place = [], []
+    try:
+        for path, data in files:
+            try:
+                mode = os.stat(path).st_mode
+            except FileNotFoundError:
+                mode = None
+            if mode is not None and not stat.S_ISREG(mode):
+                in_place.append((path, data))
+                continue
+            # A missing ``dir/`` stays an error, as in ``open``, not a file ``dir``.
+            target = os.path.realpath(path) if os.path.lexists(path) else path
+            fd, temp = _open_beside(target, path)
+            staged.append((temp, target))
+            with open(fd, "wb") as fh:
+                if mode is not None:
+                    os.fchmod(fd, stat.S_IMODE(mode))
+                fh.write(data)
+        for path, data in in_place:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        for temp, target in staged:
+            os.replace(temp, target)
+    except BaseException:
+        for temp, _ in staged:
+            if os.path.lexists(temp):
+                os.remove(temp)
+        raise
+
+
 def _write_out(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write_files((path, text.encode("utf-8")))
 
 
 # --- feature CSV ---
@@ -305,9 +358,8 @@ def cmd_train(args) -> int:
         if layer is not None:
             raise NonFiniteLossError(f"{source}: training diverged: hidden layer {layer} "
                                      "reads +-1.0 in every unit on every training sample")
-    model.save(args.out)
     report_path = _report_path(args)
-    _write_out(report_path, report)
+    _write_files((args.out, model.to_bytes()), (report_path, report.encode("utf-8")))
     log.info("model written to %s, report to %s", args.out, report_path)
     return 0
 

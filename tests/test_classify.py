@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from collections import Counter, defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -814,6 +815,64 @@ def test_dirty_step_buffers_change_no_bit():
             for got, want in zip(grads_w + grads_b, want_w + want_b):
                 assert same_bits(got, want)
 
+
+
+def test_train_mlp_binds_each_batch_step_once():
+    """One plan per batch for the whole run, not one per step."""
+    train, val = training_samples(3, 9, 4, 2, 1.0, 7)
+    with mock.patch.object(classify, "_step_plan", wraps=classify._step_plan) as plan:
+        train_mlp(train, val, MlpConfig(hidden=(5,), epochs=5, batch=2, seed=1))
+    assert plan.call_count == math.ceil(9 / 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+    classes=st.integers(2, 5),
+    rows=st.integers(1, 5),
+    extra=st.integers(0, 3),
+    runs=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_plan_bound_once_follows_its_arrays_in_place(sizes, classes, rows, extra, runs,
+                                                       seed):
+    """A plan bound once to views of epoch buffers and of the flat parameter
+    buffer, then run after each in-place refill of the rows (as ``np.take``
+    does) and each in-place update of the parameters, gives every run the
+    loss and gradient bits of ``mlp_loss_and_grads`` on copies."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    sizes = [*sizes, classes]
+    weights, biases = mlp_init(sizes, rng)
+    params = np.concatenate([p.ravel() for layer in zip(weights, biases) for p in layer])
+    weights, biases = classify._layer_views(params, sizes)
+    grads = np.full_like(params, np.nan)
+    grads_w, grads_b = classify._layer_views(grads, sizes)
+    n = rows + extra
+    x_epoch = np.full((n, sizes[0]), np.nan)
+    onehot_epoch = np.full((n, classes), np.nan)
+    mask_epoch = np.zeros((n, classes), dtype=bool)
+    start = extra // 2
+    batch = slice(start, start + rows)
+    plan = classify._step_plan(classify._step_buffers(rows, sizes), weights,
+                               [w.T for w in weights], biases, x_epoch[batch],
+                               onehot_epoch[batch], mask_epoch[batch], grads_w, grads_b)
+    for _ in range(runs):
+        x_source = rng.standard_normal((n, sizes[0])) * 2.0
+        mask_source = np.eye(classes, dtype=bool)[rng.integers(0, classes, size=n)]
+        order = rng.permutation(n)
+        for source, epoch in ((x_source, x_epoch), (mask_source.astype(np.float64), onehot_epoch),
+                              (mask_source, mask_epoch)):
+            np.take(source, order, axis=0, out=epoch)
+        params -= rng.standard_normal(params.shape) * 0.1
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            loss = classify._run_step(plan, loss=True)
+        targets = mask_epoch[batch].argmax(axis=1)
+        want_loss, want_w, want_b = mlp_loss_and_grads(
+            [w.copy() for w in weights], [b.copy() for b in biases], x_epoch[batch].copy(),
+            targets)
+        assert same_bits(loss, want_loss)
+        for got, want in zip(grads_w + grads_b, want_w + want_b):
+            assert same_bits(got, want)
 
 def test_mlp_size_bound_is_checked_before_any_weight(monkeypatch):
     train, val = training_samples(3, 9, 4, 2, 1.0, 7)

@@ -812,6 +812,77 @@ def test_a_path_no_file_can_have_is_still_a_data_error(workspace, tmp_path, capl
     assert not model.exists()
 
 
+def _train_knn(workspace, out, report):
+    return main(["train", "--features", str(workspace["feats"]), "--classifier", "knn",
+                 "--theta", THETA, "--tau", TAU, "--out", str(out), "--report", str(report)])
+
+
+def test_train_with_an_unwritable_report_writes_no_model(workspace, tmp_path, caplog):
+    model = tmp_path / "m.json"
+    assert _train_knn(workspace, model, tmp_path / "missing" / "r.txt") == 2
+    assert "No such file or directory" in caplog.text
+    assert str(tmp_path / "missing" / "r.txt") in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_train_keeps_an_existing_model(workspace, tmp_path):
+    model = tmp_path / "m.json"
+    model.write_bytes(b"earlier bytes")
+    assert _train_knn(workspace, model, tmp_path / "missing" / "r.txt") == 2
+    assert model.read_bytes() == b"earlier bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.json"]
+
+
+def test_outputs_replace_their_targets_and_leave_no_temporary_file(workspace, tmp_path):
+    model, report = tmp_path / "m.json", tmp_path / "r.txt"
+    model.write_bytes(b"earlier bytes")
+    assert _train_knn(workspace, model, report) == 0
+    assert model.read_bytes() == workspace["knn"].read_bytes()
+    assert report.read_text() == (workspace["root"] / "knn.report.txt").read_text()
+    out = tmp_path / "confusion.csv"
+    assert main(["eval", "--model", str(model), "--features", str(workspace["feats"]),
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["confusion.csv", "m.json", "r.txt"]
+
+
+def test_a_new_output_gets_the_mode_open_gives(workspace, tmp_path):
+    previous = os.umask(0o027)
+    try:
+        assert _train_knn(workspace, tmp_path / "m.json", tmp_path / "r.txt") == 0
+        assert main(["extract", "--manifest", str(workspace["clips"] / "manifest.jsonl"),
+                     "--theta", THETA, "--tau", TAU, "--out", str(tmp_path / "f.csv")]) == 0
+    finally:
+        os.umask(previous)
+    for name in ("m.json", "r.txt", "f.csv"):
+        assert (tmp_path / name).stat().st_mode & 0o7777 == 0o666 & ~0o027
+
+
+def test_an_existing_output_keeps_its_mode_and_its_symlink(workspace, tmp_path):
+    model, link = tmp_path / "m.json", tmp_path / "link.json"
+    model.write_bytes(b"earlier bytes")
+    model.chmod(0o600)
+    link.symlink_to(model.name)
+    assert _train_knn(workspace, link, tmp_path / "r.txt") == 0
+    assert link.is_symlink() and os.readlink(link) == "m.json"
+    assert model.read_bytes() == workspace["knn"].read_bytes()
+    assert model.stat().st_mode & 0o7777 == 0o600
+
+
+def test_an_output_path_naming_a_missing_directory_is_a_data_error(workspace, tmp_path):
+    out = str(tmp_path / "newdir") + os.sep
+    assert main(["eval", "--model", str(workspace["knn"]), "--features",
+                 str(workspace["feats"]), "--out", out]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_output_that_is_no_regular_file_is_written_in_place(workspace, tmp_path):
+    assert main(["eval", "--model", str(workspace["knn"]), "--features",
+                 str(workspace["feats"]), "--out", os.devnull]) == 0
+    assert not os.path.isfile(os.devnull)
+    assert not [name for name in os.listdir(os.path.dirname(os.devnull))
+                if name.startswith(".mhi-")]
+
+
 def test_tau_of_two_to_the_53_extracts_trains_and_loads(workspace, tmp_path):
     feats, model = tmp_path / "f.csv", tmp_path / "m.json"
     tau = str(2**53)
