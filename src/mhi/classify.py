@@ -21,14 +21,14 @@ buffer and the gradients in a second buffer of the same layout, so an SGD
 step updates all parameters with two numpy calls. Each parameter still sees
 the same multiply and subtract, so the trained bits do not depend on it.
 The step's backprop allocates nothing: it writes activations, deltas and
-gradients into buffers made once per batch size, takes one-hot
-targets gathered once per epoch, and forms the loss only to report a
-divergence. Its numpy calls are bound to those buffers once per run. Each of its numpy calls is a float operation of ``_forward`` or
-of a backprop on fresh arrays, so the bits are theirs. A net of more than
-``MLP_MAX_PARAMS`` weights and biases is refused before any is drawn, and
-so is a pass whose widest layer would hold more than
-``MLP_MAX_LAYER_VALUES`` values: the step's buffers and the selection pass
-grow with the rows, not with the parameters.
+gradients into buffers made once per batch size, takes one-hot targets
+gathered once per epoch, and forms the loss only to report a divergence.
+Its numpy calls are bound to those buffers once per run. Each of its numpy
+calls is a float operation of ``_forward`` or of a backprop on fresh arrays,
+so the bits are theirs. A net of more than ``MLP_MAX_PARAMS`` weights and
+biases is refused before any is drawn, and so is a pass whose widest layer
+would hold more than ``MLP_MAX_LAYER_VALUES`` values: the step's buffers and
+the selection pass grow with the rows, not with the parameters.
 
 Trained models persist as a single JSON document (see ``TrainedModel``) with
 floats written as 17-significant-digit decimals, which round-trip doubles
@@ -434,25 +434,6 @@ def _run_step(plan: tuple, loss: bool = False) -> float | None:
     return value
 
 
-def _backprop(
-    buffers: tuple,
-    weights: list[np.ndarray],
-    weights_t: list[np.ndarray],
-    biases: list[np.ndarray],
-    matrix: np.ndarray,
-    onehot: np.ndarray,
-    mask: np.ndarray,
-    grads_w: list[np.ndarray],
-    grads_b: list[np.ndarray],
-    loss: bool = False,
-) -> float | None:
-    """The body of ``mlp_loss_and_grads``: a ``_step_plan`` on these arrays,
-    run once. ``train_mlp`` binds the same plans once per batch and runs
-    them every step."""
-    return _run_step(_step_plan(buffers, weights, weights_t, biases, matrix, onehot, mask,
-                                grads_w, grads_b), loss)
-
-
 def mlp_loss_and_grads(
     weights: list[np.ndarray],
     biases: list[np.ndarray],
@@ -461,11 +442,11 @@ def mlp_loss_and_grads(
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean cross-entropy of a batch plus gradients for every parameter.
 
-    This is the single backprop implementation: it runs one ``_step_plan``
-    through ``_backprop``, and ``train_mlp`` runs the same plans, bound once
-    per batch, so a finite-difference check of this function validates the
-    gradients the optimizer actually uses. A diverged batch returns an inf
-    or NaN loss without a numpy warning.
+    This is the single backprop implementation: it builds one ``_step_plan``
+    and runs it once with ``_run_step``, and ``train_mlp`` runs the same
+    plans, bound once per batch, so a finite-difference check of this
+    function validates the gradients the optimizer actually uses. A diverged
+    batch returns an inf or NaN loss without a numpy warning.
     """
     grads_w = [np.empty_like(w) for w in weights]
     grads_b = [np.empty_like(b) for b in biases]
@@ -475,9 +456,10 @@ def mlp_loss_and_grads(
     mask = np.zeros((n, sizes[-1]), dtype=bool)
     mask[np.arange(n), target_idx] = True
     buffers = _step_buffers(n, sizes)
+    plan = _step_plan(buffers, weights, [w.T for w in weights], biases, matrix,
+                      mask.astype(np.float64), mask, grads_w, grads_b)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        loss = _backprop(buffers, weights, [w.T for w in weights], biases, matrix,
-                         mask.astype(np.float64), mask, grads_w, grads_b, loss=True)
+        loss = _run_step(plan, loss=True)
     return loss, grads_w, grads_b
 
 
@@ -500,8 +482,8 @@ def train_mlp(
     ``NonFiniteLossError`` if the loss diverges.
 
     All weights and biases are views into one flat ``params`` buffer, and
-    the backprop core writes the gradients into views of a ``grads`` buffer
-    of the same layout, so each step's update ``p -= lr * g`` runs as two
+    each step (``_run_step``) writes the gradients into views of a ``grads``
+    buffer of the same layout, so its update ``p -= lr * g`` runs as two
     whole-buffer operations. It is the same multiply and subtract per
     element as a layer-by-layer update, so the model is the same to the bit.
 
@@ -511,8 +493,8 @@ def train_mlp(
     and one for a shorter last batch. Both are sized by the rows a batch
     holds, so a ``batch`` above the training set size allocates by that
     size. Each batch's step is bound once per run (``_step_plan``) and run
-    as a tuple of calls with every operand in place: the same calls as an
-    unbound step, not a fusion of them.
+    as a tuple of calls with every operand in place: the calls of
+    ``mlp_loss_and_grads``'s one plan, not a fusion of them.
     """
     labels = sorted({s.label for s in train})
     if len(labels) < 2:
@@ -774,10 +756,6 @@ class TrainedModel:
             standardizer=Standardizer(mean=mean, std=std),
             classifier=classifier,
         )
-
-    def save(self, path: str | os.PathLike) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
 
     @classmethod
     def load(cls, path: str | os.PathLike, feature_dim: int | None = None) -> "TrainedModel":

@@ -48,7 +48,7 @@ from .imgio import (
     load_manifest_file,
     read_frames,
     scan_frame_dir,
-    write_pgm_file,
+    write_pgm,
 )
 from .imgproc import require_theta
 from .moments import FEATURE_DIM, LabeledSample, stack_features
@@ -453,8 +453,10 @@ def cmd_render(args) -> int:
     except TooFewFramesError as exc:
         raise MhiError(f"{args.frames}: {exc}") from exc
     os.makedirs(args.out, exist_ok=True)
-    write_pgm_file(os.path.join(args.out, "mei.pgm"), template.mei * np.uint8(255))
-    write_pgm_file(os.path.join(args.out, "mhi.pgm"), normalize_mhi(template))
+    _write_files(
+        (os.path.join(args.out, "mei.pgm"), write_pgm(template.mei * np.uint8(255))),
+        (os.path.join(args.out, "mhi.pgm"), write_pgm(normalize_mhi(template))),
+    )
     return 0
 
 

@@ -24,19 +24,6 @@ and ring.
 
 The absolute difference is an exact integer in [0, 255], so ``> theta``
 equals ``> min(floor(theta), 255)``, which ``frame_diff`` compares in uint8.
-
-Each stage takes an optional ``work`` dict of scratch buffers. Without it,
-every call allocates its arrays afresh. With it, the arrays are views of
-byte buffers the dict keeps, grown as needed, so one dict passed to the
-stages of every mask block of a video keeps their memory in use rather
-than handing it back to the allocator and faulting it in again. The stages, run in order, share three buffers; each
-is reused once what it held has been read, and a result stays valid until
-a later stage writes over it:
-
-    buffer   gaussian_smooth   frame_diff    morph_open
-    a        ring              result        result
-    b        result            -             temporary
-    c        -                 difference    ring
 """
 
 from __future__ import annotations
@@ -56,30 +43,18 @@ def require_theta(theta: float) -> float:
     return theta
 
 
-def scratch(work: dict | None, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An unset C-contiguous array: new without ``work``, else a view of the
-    byte buffer ``work`` keeps under ``key``, grown when too small."""
-    if work is None:
-        return np.empty(shape, dtype)
-    size = math.prod(shape) * np.dtype(dtype).itemsize
-    pool = work.get(key)
-    if pool is None or pool.size < size:
-        pool = work[key] = np.empty(size, np.uint8)
-    return pool[:size].view(dtype).reshape(shape)
-
-
-def _ringed(frames: np.ndarray, dtype, work, key, ring=None) -> tuple[np.ndarray, np.ndarray]:
+def _ringed(frames: np.ndarray, dtype, ring=None) -> tuple[np.ndarray, np.ndarray]:
     # A contiguous (..., H+2, W+2) copy of ``frames`` inside a ring of value
     # ``ring`` (unset for None), and the same buffer as one flat array.
     *lead, height, width = frames.shape
-    buf = scratch(work, key, (*lead, height + 2, width + 2), dtype)
+    buf = np.empty((*lead, height + 2, width + 2), dtype)
     if ring is not None:
         buf.fill(ring)
     buf[..., 1:-1, 1:-1] = frames
     return buf, buf.reshape(-1)
 
 
-def gaussian_smooth(frames: np.ndarray, work: dict | None = None) -> np.ndarray:
+def gaussian_smooth(frames: np.ndarray) -> np.ndarray:
     """Smooth frames with the separable binomial kernel [1,2,1]x[1,2,1]/16.
 
     Borders are handled by edge replication. The division by 16 rounds to the
@@ -88,7 +63,7 @@ def gaussian_smooth(frames: np.ndarray, work: dict | None = None) -> np.ndarray:
     """
     frames = require_frame(frames, stack=True)
     # The largest sum is 16 * 255 + 8, which fits uint16.
-    buf, flat = _ringed(frames, np.uint16, work, "a")
+    buf, flat = _ringed(frames, np.uint16)
     buf[..., 0, 1:-1] = frames[..., 0, :]
     buf[..., -1, 1:-1] = frames[..., -1, :]
     buf[..., 0] = buf[..., 1]
@@ -100,14 +75,11 @@ def gaussian_smooth(frames: np.ndarray, work: dict | None = None) -> np.ndarray:
     for step in (1, 1, buf.shape[-1], buf.shape[-1]):
         np.add(flat[:-step], flat[step:], out=flat[:-step])
     flat += 8
-    out = scratch(work, "b", frames.shape, np.uint8)
-    np.right_shift(buf[..., :-2, :-2], 4, out=out, casting="unsafe")
-    return out
+    out = np.empty(frames.shape, np.uint8)
+    return np.right_shift(buf[..., :-2, :-2], 4, out=out, casting="unsafe")
 
 
-def frame_diff(
-    prev: np.ndarray, curr: np.ndarray, theta: float, work: dict | None = None
-) -> np.ndarray:
+def frame_diff(prev: np.ndarray, curr: np.ndarray, theta: float) -> np.ndarray:
     """Binary motion mask: 1 where |curr - prev| is strictly above ``theta``."""
     prev = require_frame(prev, stack=True)
     curr = require_frame(curr, stack=True)
@@ -116,13 +88,12 @@ def frame_diff(
             f"frame shapes differ: {prev.shape} vs {curr.shape}"
         )
     limit = min(math.floor(require_theta(theta)), 255)
-    diff = np.maximum(prev, curr, out=scratch(work, "c", prev.shape, np.uint8))
-    out = np.minimum(prev, curr, out=scratch(work, "a", prev.shape, np.uint8))
-    diff -= out
-    return np.greater(diff, np.uint8(limit), out=out.view(bool)).view(np.uint8)
+    diff = np.maximum(prev, curr)
+    diff -= np.minimum(prev, curr)
+    return np.greater(diff, np.uint8(limit), out=diff.view(bool)).view(np.uint8)
 
 
-def morph_open(mask: np.ndarray, work: dict | None = None) -> np.ndarray:
+def morph_open(mask: np.ndarray) -> np.ndarray:
     """Morphological opening (erosion then dilation) with a 3x3 square element.
 
     Removes components too small to contain the element while leaving larger
@@ -134,8 +105,8 @@ def morph_open(mask: np.ndarray, work: dict | None = None) -> np.ndarray:
     # when the dilation reads it. Unlike np.add, np.minimum and np.maximum
     # leave their vector loops when the output overlaps an input, so these
     # passes go through a second buffer rather than run in place.
-    buf, flat = _ringed(mask, np.uint8, work, "c", ring=0)
-    tmp = scratch(work, "b", flat.shape, np.uint8)
+    buf, flat = _ringed(mask, np.uint8, ring=0)
+    tmp = np.empty_like(flat)
     for op in (np.minimum, np.maximum):
         for step in (1, buf.shape[-1]):
             # flat[i] = op(flat[i - step], flat[i], flat[i + step]) for every
@@ -143,6 +114,7 @@ def morph_open(mask: np.ndarray, work: dict | None = None) -> np.ndarray:
             n = flat.size - step
             op(flat[:n], flat[step:], out=tmp[:n])
             op(tmp[: n - step], tmp[step:n], out=flat[step:n])
-    out = scratch(work, "a", mask.shape, np.uint8)
+    # The temporary is free once the dilation ends; its front takes the result.
+    out = tmp[: mask.size].reshape(mask.shape)
     np.copyto(out, buf[..., 1:-1, 1:-1])
     return out

@@ -22,13 +22,12 @@ window's end. It draws the sequence's frames one at a time, as the windows
 reach them, so ``FrameSequence.frames`` may be the stream that
 ``imgio.read_frames`` yields. The frames are gathered into one mask block of
 32 frames; consecutive blocks share one frame, which is carried over rather
-than read again, and the mask stage reuses one set of scratch buffers from
-block to block (see ``imgproc``). Only each window's final step of the
-fold is read, so the fold moves from one window's end to the next in one
-reduction per mask block over the run of masks in between: the masks of the
-run, weighted by their step order ``1..k``, give each pixel's highest active
-step as one ``max``. A whole clip is one run; a stride-1 window is a run of
-one mask and one assignment.
+than read again. Only each window's final step of the fold is read, so the
+fold moves from one window's end to the next in one reduction per mask block
+over the run of masks in between: the masks of the run, weighted by their
+step order ``1..k``, give each pixel's highest active step as one ``max``. A
+whole clip is one run; a stride-1 window is a run of one mask and one
+assignment.
 
 ``pack_templates`` turns history windows into templates in blocks of ``B``:
 a ``TemplateBlock`` holds one ``(2B, H, W)`` float64 stack, the ``B`` MHIs
@@ -60,7 +59,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, TooFewFramesError
 from .imgio import FrameSequence, require_frame
-from .imgproc import frame_diff, gaussian_smooth, morph_open, scratch
+from .imgproc import frame_diff, gaussian_smooth, morph_open
 
 # Frames per motion_masks call; consecutive blocks share one frame.
 _BLOCK = 32
@@ -122,20 +121,21 @@ def mhi_step(values: np.ndarray, mask: np.ndarray, tau: int) -> np.ndarray:
     return np.where(mask > 0, float(tau), np.maximum(values - 1.0, 0.0))
 
 
-def motion_masks(frames: np.ndarray, theta: float, work: dict | None = None) -> np.ndarray:
+def motion_masks(frames: np.ndarray, theta: float) -> np.ndarray:
     """Cleaned binary masks for consecutive frame pairs.
 
     Each frame is smoothed, consecutive smoothed pairs are differenced against
     ``theta``, and each difference is opened. An ``(N, H, W)`` stack yields
     one ``(N-1, H, W)`` mask stack. ``frame_diff`` rejects a ``theta`` that
-    is not finite and >= 0. With ``work``, the stages take their scratch
-    buffers from it, and the masks are valid until its next use.
+    is not finite and >= 0.
     """
     frames = np.asarray(frames)
     if frames.ndim != 3:
         raise ValueError(f"expected an (N, H, W) frame stack, got shape {frames.shape}")
-    smoothed = gaussian_smooth(frames, work)
-    return morph_open(frame_diff(smoothed[:-1], smoothed[1:], theta, work), work)
+    smoothed = gaussian_smooth(frames)
+    diff = frame_diff(smoothed[:-1], smoothed[1:], theta)
+    del smoothed  # its memory can then serve the opening's buffers
+    return morph_open(diff)
 
 
 def _masks(seq: FrameSequence, theta: float):
@@ -146,14 +146,10 @@ def _masks(seq: FrameSequence, theta: float):
     Frames are drawn from ``seq.frames`` as they are needed and gathered into
     one buffer of ``_BLOCK`` frames. Consecutive blocks share one frame,
     which is carried to the front of the buffer rather than drawn again, so
-    every frame is drawn once and at most ``_BLOCK`` of them are held. A
-    sequence of more than one block reuses one set of scratch buffers from
-    block to block. One block runs each stage once and allocates as it goes,
-    so a short clip does not hold every stage's buffer at the same time.
+    every frame is drawn once and at most ``_BLOCK`` of them are held.
     """
     n = len(seq)
     frames = iter(seq.frames)
-    work = {} if n > _BLOCK else None
     first = None
     for lo in range(0, n - 1, _BLOCK - 1):
         count = min(_BLOCK, n - lo)
@@ -163,7 +159,7 @@ def _masks(seq: FrameSequence, theta: float):
                 raise ValueError(f"{seq.record.dir}: frames ended after {lo + i} of {n}")
             if first is None:
                 first = require_frame(frame)
-                block = scratch(work, "frames", (min(_BLOCK, n), *first.shape), np.uint8)
+                block = np.empty((min(_BLOCK, n), *first.shape), np.uint8)
             elif frame.dtype != np.uint8 or frame.shape != first.shape:
                 require_frame(frame)
                 raise DimensionMismatchError(
@@ -172,7 +168,7 @@ def _masks(seq: FrameSequence, theta: float):
                     index=seq.record.start + lo + i,
                 )
             block[i] = frame
-        yield motion_masks(block[:count], theta, work)
+        yield motion_masks(block[:count], theta)
         block[0] = block[count - 1]
 
 
@@ -214,6 +210,7 @@ def fold_history(seq: FrameSequence, theta: float, tau: int, size: int, starts):
         end = start + size - 2
         while t < end:
             if at == len(masks):
+                del masks  # so that the next block can reuse its memory
                 masks, at = next(blocks), 0
                 if last is None:
                     # A pixel that never moved reads as last active at step

@@ -461,7 +461,7 @@ def fitted_pair(classifier, seed=67):
 def test_trained_model_round_trip(classifier, tmp_path):
     model, samples = fitted_pair(classifier)
     path = tmp_path / "model.json"
-    model.save(path)
+    path.write_bytes(model.to_bytes())
     loaded = TrainedModel.load(path)
     assert loaded.to_bytes() == model.to_bytes()
     for sample in samples[:8]:
@@ -807,9 +807,10 @@ def test_dirty_step_buffers_change_no_bit():
             mask = np.eye(sizes[-1], dtype=bool)[targets]
             grads_w = [np.full_like(w, np.nan) for w in weights]
             grads_b = [np.full_like(b, np.nan) for b in biases]
-            loss = classify._backprop(dirty, weights, [w.T for w in weights], biases, matrix,
-                                      mask.astype(np.float64), mask, grads_w, grads_b,
-                                      loss=True)
+            plan = classify._step_plan(dirty, weights, [w.T for w in weights], biases,
+                                       matrix, mask.astype(np.float64), mask, grads_w,
+                                       grads_b)
+            loss = classify._run_step(plan, loss=True)
             want_loss, want_w, want_b = mlp_loss_and_grads(weights, biases, matrix, targets)
             assert same_bits(loss, want_loss)
             for got, want in zip(grads_w + grads_b, want_w + want_b):

@@ -273,8 +273,9 @@ def _diverged_mlp(workspace, path):
     cfg = MlpConfig(lr=1.5e308, epochs=1, batch=100)
     classifier = train_mlp(standardized(train), standardized(val), cfg)
     assert max(float(np.abs(w).max()) for w in classifier.weights) > 1e306
-    TrainedModel(tau=int(TAU), theta=float(THETA), standardizer=standardizer,
-                 classifier=classifier).save(path)
+    model = TrainedModel(tau=int(TAU), theta=float(THETA), standardizer=standardizer,
+                         classifier=classifier)
+    path.write_bytes(model.to_bytes())
     return str(path)
 
 
@@ -494,6 +495,28 @@ def test_render_deterministic(workspace, tmp_path):
         ]) == 0
     assert (first / "mhi.pgm").read_bytes() == (second / "mhi.pgm").read_bytes()
     assert (first / "mei.pgm").read_bytes() == (second / "mei.pgm").read_bytes()
+
+
+def _render_into_blocked_mhi(workspace, out):
+    # ``mhi.pgm`` is a directory, so the second output cannot be written.
+    (out / "mhi.pgm").mkdir(parents=True)
+    return main(["render", "--frames", str(workspace["clips"] / "slide_000"),
+                 "--tau", "8", "--out", str(out)])
+
+
+def test_a_failed_render_writes_neither_pgm(workspace, tmp_path):
+    out = tmp_path / "render"
+    assert _render_into_blocked_mhi(workspace, out) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["mhi.pgm"]
+
+
+def test_a_failed_render_keeps_an_existing_mei(workspace, tmp_path):
+    out = tmp_path / "render"
+    out.mkdir()
+    (out / "mei.pgm").write_bytes(b"earlier bytes")
+    assert _render_into_blocked_mhi(workspace, out) == 2
+    assert (out / "mei.pgm").read_bytes() == b"earlier bytes"
+    assert sorted(p.name for p in out.iterdir()) == ["mei.pgm", "mhi.pgm"]
 
 
 # --- exit codes ---
