@@ -21,7 +21,7 @@ buffer and the gradients in a second buffer of the same layout, so an SGD
 step updates all parameters with two numpy calls. Each parameter still sees
 the same multiply and subtract, so the trained bits do not depend on it.
 The step's backprop allocates nothing: it writes activations, deltas and
-gradients into buffers made once per batch size, takes one-hot targets
+gradients into one set of buffers made once per run, takes one-hot targets
 gathered once per epoch, and forms the loss only to report a divergence.
 Its numpy calls are bound to those buffers once per run. Each of its numpy
 calls is a float operation of ``_forward`` or of a backprop on fresh arrays,
@@ -313,16 +313,13 @@ def saturated_layer(model: MlpModel, matrix: np.ndarray) -> int | None:
     exactly +-1.0 on every row of ``matrix``, or None.
 
     Such a layer passes on only the signs of its inputs, as a huge learning
-    rate can leave it with every value finite. Only the hidden layers are
-    computed, and an overflow among them raises no numpy warning.
+    rate can leave it with every value finite. The layers are ``_forward``'s,
+    and an overflow in the pass raises no numpy warning.
     """
-    layer = np.asarray(matrix, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
-        for index, (w, b) in enumerate(zip(model.weights[:-1], model.biases[:-1]), start=1):
-            layer = np.tanh(layer @ w + b)
-            if (np.abs(layer) == 1.0).all():
-                return index
-    return None
+        hidden = _forward(model.weights, model.biases, matrix)[1:-1]
+    return next((index for index, layer in enumerate(hidden, start=1)
+                 if (np.abs(layer) == 1.0).all()), None)
 
 
 def mlp_init(
@@ -352,34 +349,36 @@ def _layer_views(
 
 
 def _step_buffers(rows: int, sizes: list[int]) -> tuple:
-    """New buffers for a backprop step on ``rows`` rows through layers of
-    ``sizes``: each layer's output (softmax probabilities last), the hidden
-    ones' ``.T`` views, a delta per hidden layer and a column for the
-    softmax's row max and sum. A step writes every element before reading
-    it, so the buffers can serve any number of steps.
+    """New buffers for backprop steps on up to ``rows`` rows through layers
+    of ``sizes``: each layer's output (softmax probabilities last), a delta
+    per hidden layer and a column for the softmax's row max and sum. A step
+    writes every element of its rows before reading it, so the buffers can
+    serve any number of steps.
     """
     outs = [np.empty((rows, width)) for width in sizes[1:]]
-    return (outs, [out.T for out in outs[:-1]], [np.empty_like(out) for out in outs[:-1]],
-            np.empty((rows, 1)))
+    return outs, [np.empty_like(out) for out in outs[:-1]], np.empty((rows, 1))
 
 
-def _step_plan(buffers, weights, weights_t, biases, matrix, onehot, mask,
-               grads_w, grads_b) -> tuple:
-    """A backprop step on ``_step_buffers``, bound once and run by
-    ``_run_step`` any number of times: the forward calls, the divergence
-    check, the backward calls, and the ``probs``, ``mask`` and row count of
-    the loss. The targets are float64 ``onehot`` and bool ``mask`` rows, and
-    ``weights_t`` holds each weight's ``.T`` view.
+def _step_plan(buffers, weights, biases, matrix, onehot, mask, grads_w, grads_b) -> tuple:
+    """A backprop step on the leading ``matrix.shape[0]`` rows of
+    ``_step_buffers``, bound once and run by ``_run_step`` any number of
+    times: the forward calls, the divergence check, the backward calls, and
+    the ``probs``, ``mask`` and row count of the loss. The targets are
+    float64 ``onehot`` and bool ``mask`` rows.
 
-    Every operand, axis and output is bound positionally, so a run does no
-    keyword parsing, indexing or slicing. The calls keep only views, so a
-    run reads whatever the bound arrays hold at that moment. Each numpy call
-    is a float operation of ``_forward`` or of a backprop on fresh arrays,
-    each product the same ``np.matmul``, so the bits are theirs; ``delta -=
-    onehot`` is ``delta[target] -= 1.0``, as p - 0.0 = p.
+    Every operand, axis and output, ``.T`` views too, is bound positionally,
+    so a run does no keyword parsing, indexing or slicing. The calls keep
+    only views, so a run reads whatever the bound arrays hold at that moment.
+    A buffer's leading rows are C-contiguous, as a buffer of that many rows
+    is. Each numpy call is a float operation of ``_forward`` or of a
+    backprop on fresh arrays, each product the same ``np.matmul``, so the
+    bits are theirs; ``delta -= onehot`` is ``delta[target] -= 1.0``, as
+    p - 0.0 = p.
     """
     bind = functools.partial
-    outs, outs_t, deltas, col = buffers
+    n = matrix.shape[0]
+    outs, deltas, col = buffers
+    outs, deltas, col = [out[:n] for out in outs], [back[:n] for back in deltas], col[:n]
     forward, layer_in = [], matrix
     for w, b, out in zip(weights[:-1], biases[:-1], outs):
         forward += [bind(np.matmul, layer_in, w, out), bind(np.add, out, b, out),
@@ -395,15 +394,15 @@ def _step_plan(buffers, weights, weights_t, biases, matrix, onehot, mask,
     # The least target probability, 1.0 past the mask's one entry per row.
     check = bind(np.minimum.reduce, probs, None, None, None, False, 1.0, mask)
     # The probabilities are not needed past the loss, so they become delta.
-    n, delta = matrix.shape[0], probs
+    delta = probs
     backward = [bind(np.subtract, delta, onehot, delta), bind(np.divide, delta, n, delta)]
     for layer in range(len(weights) - 1, 0, -1):
         # tanh'(z) expressed through the activation itself: 1 - a^2, formed
         # in the activation's buffer, which nothing reads after this.
         act, back = outs[layer - 1], deltas[layer - 1]
-        backward += [bind(np.matmul, outs_t[layer - 1], delta, grads_w[layer]),
+        backward += [bind(np.matmul, act.T, delta, grads_w[layer]),
                      bind(np.add.reduce, delta, 0, None, grads_b[layer]),
-                     bind(np.matmul, delta, weights_t[layer], back),
+                     bind(np.matmul, delta, weights[layer].T, back),
                      bind(np.square, act, act), bind(np.subtract, 1.0, act, act),
                      bind(np.multiply, back, act, back)]
         delta = back
@@ -451,12 +450,9 @@ def mlp_loss_and_grads(
     grads_w = [np.empty_like(w) for w in weights]
     grads_b = [np.empty_like(b) for b in biases]
     matrix = np.asarray(matrix, dtype=np.float64)
-    n = matrix.shape[0]
     sizes = [matrix.shape[1], *(w.shape[1] for w in weights)]
-    mask = np.zeros((n, sizes[-1]), dtype=bool)
-    mask[np.arange(n), target_idx] = True
-    buffers = _step_buffers(n, sizes)
-    plan = _step_plan(buffers, weights, [w.T for w in weights], biases, matrix,
+    mask = np.eye(sizes[-1], dtype=bool)[target_idx]
+    plan = _step_plan(_step_buffers(matrix.shape[0], sizes), weights, biases, matrix,
                       mask.astype(np.float64), mask, grads_w, grads_b)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         loss = _run_step(plan, loss=True)
@@ -489,12 +485,12 @@ def train_mlp(
 
     The step allocates nothing: each epoch gathers the shuffled rows and
     one-hot targets into fixed buffers that the batches view, and the
-    activations and deltas go to one set of buffers for the full batches
-    and one for a shorter last batch. Both are sized by the rows a batch
-    holds, so a ``batch`` above the training set size allocates by that
-    size. Each batch's step is bound once per run (``_step_plan``) and run
-    as a tuple of calls with every operand in place: the calls of
-    ``mlp_loss_and_grads``'s one plan, not a fusion of them.
+    activations and deltas of every batch go to one set of buffers, of
+    which a shorter last batch uses the leading rows. It is sized by the
+    rows a full batch holds, so a ``batch`` above the training set size
+    allocates by that size. Each batch's step is bound once per run
+    (``_step_plan``) and run as a tuple of calls with every operand in
+    place: the calls of ``mlp_loss_and_grads``'s one plan, not a fusion.
     """
     labels = sorted({s.label for s in train})
     if len(labels) < 2:
@@ -514,17 +510,16 @@ def train_mlp(
         raise ModelSizeError(f"layer sizes {sizes} need {count} weights and biases, "
                              f"more than the {MLP_MAX_PARAMS} that training allows")
     n = x_train.shape[0]
-    rows = max(min(cfg.batch, n), x_select.shape[0])
-    values = rows * max(sizes[1:])
+    pass_rows = max(min(cfg.batch, n), x_select.shape[0])
+    values = pass_rows * max(sizes[1:])
     if values > MLP_MAX_LAYER_VALUES:
-        raise ModelSizeError(f"layer sizes {sizes} on {rows} rows per pass need {values} "
+        raise ModelSizeError(f"layer sizes {sizes} on {pass_rows} rows per pass need {values} "
                              f"values in the widest layer, more than the "
                              f"{MLP_MAX_LAYER_VALUES} that training allows")
     rng = _rng(cfg.seed)
     # One stream drives both init and epoch shuffling, consumed in fixed order.
     params = np.concatenate([p.ravel() for layer in zip(*mlp_init(sizes, rng)) for p in layer])
     weights, biases = _layer_views(params, sizes)
-    weights_t = [w.T for w in weights]
     grads = np.empty_like(params)
     grads_w, grads_b = _layer_views(grads, sizes)
 
@@ -537,17 +532,15 @@ def train_mlp(
     onehot_train = mask_train.astype(np.float64)
     x_epoch, onehot_epoch, mask_epoch = (np.empty_like(a) for a in
                                          (x_train, onehot_train, mask_train))
-    starts = range(0, n, cfg.batch)
-    rows, last_rows = min(cfg.batch, n), n - starts[-1]
-    full = _step_buffers(rows, sizes)
-    last = full if last_rows == rows else _step_buffers(last_rows, sizes)
+    rows = min(cfg.batch, n)
+    buffers = _step_buffers(rows, sizes)
     # Each batch views the epoch buffers that ``np.take`` refills in place,
     # so its step is bound once and sees every epoch's rows.
     plans = [
-        _step_plan(last if start == starts[-1] else full, weights, weights_t, biases,
-                   x_epoch[start:start + rows], onehot_epoch[start:start + rows],
-                   mask_epoch[start:start + rows], grads_w, grads_b)
-        for start in starts
+        _step_plan(buffers, weights, biases, x_epoch[start:start + rows],
+                   onehot_epoch[start:start + rows], mask_epoch[start:start + rows],
+                   grads_w, grads_b)
+        for start in range(0, n, rows)
     ]
     scale = functools.partial(np.multiply, grads, cfg.lr, grads)
     update = functools.partial(np.subtract, params, grads, params)

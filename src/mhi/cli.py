@@ -293,15 +293,21 @@ def _confusion_section(name: str, model: TrainedModel, samples) -> str:
     return f"[{name}] accuracy {serialize.format_float(accuracy)}\n{matrix.to_csv()}"
 
 
+def _labeled(samples: list[LabeledSample]) -> list[LabeledSample]:
+    """The samples that have a label; the others are dropped with a warning."""
+    labeled = [s for s in samples if s.label]
+    if len(labeled) < len(samples):
+        log.warning("ignoring %d unlabeled sample(s)", len(samples) - len(labeled))
+    return labeled
+
+
 def cmd_train(args) -> int:
     source = args.features or args.manifest
     if args.features:
         samples = read_features_csv(args.features)
     else:
         samples = extract_samples(args.manifest, args.theta, args.tau)
-    labeled = [s for s in samples if s.label]
-    if len(labeled) < len(samples):
-        log.warning("ignoring %d unlabeled sample(s)", len(samples) - len(labeled))
+    labeled = _labeled(samples)
     try:
         if len({s.label for s in labeled}) < 2:
             raise SingleClassError("training needs samples from >= 2 classes")
@@ -369,6 +375,9 @@ def cmd_eval(args) -> int:
     samples = read_features_csv(args.features)
     if not samples:
         raise MhiError(f"{args.features}: no samples to evaluate, only the header")
+    samples = _labeled(samples)
+    if not samples:
+        raise MhiError(f"{args.features}: no labeled samples to evaluate")
     try:
         model.standardizer.check(samples)
         matrix, _ = evaluate(model, samples)

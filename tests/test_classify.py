@@ -375,6 +375,45 @@ def test_saturated_layer_needs_every_unit_on_every_row():
     assert classify.saturated_layer(two_hidden_mlp(huge, [0, 0], big, [0, 0]), rows * 10) == 1
 
 
+def saturated_layer_before(model, matrix):
+    """``saturated_layer`` as a hidden-layer loop of its own, which stops at
+    the first saturated layer."""
+    layer = np.asarray(matrix, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for index, (w, b) in enumerate(zip(model.weights[:-1], model.biases[:-1]), start=1):
+            layer = np.tanh(layer @ w + b)
+            if (np.abs(layer) == 1.0).all():
+                return index
+    return None
+
+
+@st.composite
+def saturation_cases(draw):
+    """A net of 1-3 hidden layers, each scaled on its own so that some
+    saturate and others do not, with weights near 1e307 that overflow the
+    products of large rows, and the rows."""
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    sizes = [draw(st.integers(1, 3)), *draw(st.lists(st.integers(1, 4), min_size=1,
+                                                     max_size=3)), draw(st.integers(2, 3))]
+    weights, biases = [], []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(rng.standard_normal((fan_in, fan_out))
+                       * draw(st.sampled_from([0.5, 5.0, 100.0, 1e307])))
+        biases.append(rng.standard_normal(fan_out) * draw(st.sampled_from([0.0, 1.0, 50.0])))
+    rows = rng.standard_normal((draw(st.integers(1, 4)), sizes[0])) \
+        * draw(st.sampled_from([0.1, 1.0, 30.0]))
+    labels = [f"c{i}" for i in range(sizes[-1])]
+    return MlpModel(sizes=sizes, weights=weights, biases=biases, labels=labels), rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=saturation_cases())
+def test_saturated_layer_matches_a_layer_loop(case):
+    # Any numpy warning fails the test.
+    model, rows = case
+    assert classify.saturated_layer(model, rows) == saturated_layer_before(model, rows)
+
+
 # --- evaluation ---
 
 def test_evaluate_perfect_predictor_diagonal():
@@ -790,14 +829,15 @@ def test_train_mlp_divergence_matches_former_loop():
 def test_dirty_step_buffers_change_no_bit():
     """A step on buffers left holding an earlier step's data, or NaN, gives
     the loss and gradient bits of a step on fresh buffers, over batch sizes,
-    weights and class counts."""
+    weights and class counts, and on the leading rows of longer buffers."""
     rng = np.random.Generator(np.random.PCG64(61))
-    for sizes, rows in [([4, 6, 3], 5), ([4, 6, 3], 1), ([4, 6, 5], 5), ([3, 2], 4),
-                        ([1, 1, 2], 1), ([4, 7, 6, 3], 2)]:
-        dirty = classify._step_buffers(rows, sizes)
+    for sizes, rows, spare in [([4, 6, 3], 5, 0), ([4, 6, 3], 1, 0), ([4, 6, 5], 5, 0),
+                               ([3, 2], 4, 0), ([1, 1, 2], 1, 0), ([4, 7, 6, 3], 2, 0),
+                               ([4, 6, 3], 2, 3), ([4, 7, 6, 3], 1, 4)]:
+        dirty = classify._step_buffers(rows + spare, sizes)
         for call in range(3):
             if call == 1:
-                outs, _, deltas, col = dirty
+                outs, deltas, col = dirty
                 for buffer in [*outs, *deltas, col]:
                     buffer.fill(np.nan)
             weights, biases = mlp_init(sizes, rng)
@@ -807,15 +847,23 @@ def test_dirty_step_buffers_change_no_bit():
             mask = np.eye(sizes[-1], dtype=bool)[targets]
             grads_w = [np.full_like(w, np.nan) for w in weights]
             grads_b = [np.full_like(b, np.nan) for b in biases]
-            plan = classify._step_plan(dirty, weights, [w.T for w in weights], biases,
-                                       matrix, mask.astype(np.float64), mask, grads_w,
-                                       grads_b)
+            plan = classify._step_plan(dirty, weights, biases, matrix,
+                                       mask.astype(np.float64), mask, grads_w, grads_b)
             loss = classify._run_step(plan, loss=True)
             want_loss, want_w, want_b = mlp_loss_and_grads(weights, biases, matrix, targets)
             assert same_bits(loss, want_loss)
             for got, want in zip(grads_w + grads_b, want_w + want_b):
                 assert same_bits(got, want)
 
+
+
+def test_train_mlp_makes_one_set_of_step_buffers():
+    """A shorter last batch uses the full batches' buffers: 10 = 3 + 3 + 3 + 1."""
+    train, val = training_samples(3, 10, 4, 2, 1.0, 7)
+    with mock.patch.object(classify, "_step_buffers",
+                           wraps=classify._step_buffers) as buffers:
+        train_mlp(train, val, MlpConfig(hidden=(5,), epochs=2, batch=3, seed=1))
+    buffers.assert_called_once_with(3, [4, 5, 3])
 
 
 def test_train_mlp_binds_each_batch_step_once():
@@ -854,9 +902,9 @@ def test_a_plan_bound_once_follows_its_arrays_in_place(sizes, classes, rows, ext
     mask_epoch = np.zeros((n, classes), dtype=bool)
     start = extra // 2
     batch = slice(start, start + rows)
-    plan = classify._step_plan(classify._step_buffers(rows, sizes), weights,
-                               [w.T for w in weights], biases, x_epoch[batch],
-                               onehot_epoch[batch], mask_epoch[batch], grads_w, grads_b)
+    plan = classify._step_plan(classify._step_buffers(rows, sizes), weights, biases,
+                               x_epoch[batch], onehot_epoch[batch], mask_epoch[batch],
+                               grads_w, grads_b)
     for _ in range(runs):
         x_source = rng.standard_normal((n, sizes[0])) * 2.0
         mask_source = np.eye(classes, dtype=bool)[rng.integers(0, classes, size=n)]

@@ -934,6 +934,36 @@ def test_train_warns_about_unlabeled_samples(workspace, tmp_path, caplog):
     assert "samples: train=8 val=3 test=5" in report
 
 
+def test_eval_ignores_unlabeled_samples(workspace, tmp_path, caplog):
+    # Blank the label of the first row; the others are counted as without it.
+    path = _feature_rows(workspace, tmp_path, lambda rows: [
+        rows[0][rows[0].index(","):], *rows[1:]
+    ])
+    out, want = tmp_path / "c.csv", tmp_path / "want.csv"
+    assert main(["eval", "--model", str(workspace["knn"]), "--features", path,
+                 "--out", str(out)]) == 0
+    assert "ignoring 1 unlabeled sample(s)" in caplog.text
+    labeled = tmp_path / "labeled.csv"
+    lines = workspace["feats"].read_text().splitlines()
+    labeled.write_text("\n".join([lines[0], *lines[2:]]) + "\n")
+    assert main(["eval", "--model", str(workspace["knn"]), "--features", str(labeled),
+                 "--out", str(want)]) == 0
+    assert out.read_bytes() == want.read_bytes()
+    rows = list(csv.reader(io.StringIO(out.read_text(), newline="")))
+    assert sum(int(cell) for row in rows[1:4] for cell in row[1:]) == 17
+
+
+def test_eval_without_labeled_samples_names_file(workspace, tmp_path, caplog):
+    path = _feature_rows(workspace, tmp_path, lambda rows: [
+        row[row.index(","):] for row in rows
+    ])
+    out = tmp_path / "c.csv"
+    assert main(["eval", "--model", str(workspace["knn"]), "--features", path,
+                 "--out", str(out)]) == 2
+    assert f"{path}: no labeled samples to evaluate" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lr", ["0", "-0.05", "nan", "inf", "-inf"])
 def test_bad_lr_is_usage_error(workspace, tmp_path, lr):
     model = tmp_path / "m.json"

@@ -3,13 +3,16 @@
 A value outside a flag's bound, or one that is not a number at all, makes
 ``mhi`` exit 1 with ``argument --FLAG: <reason>`` on stderr; the reason never
 shows an internal function name. A value the parser accepts lies inside the
-bound that README's exit-code paragraph documents. These tests only parse:
-no command runs.
+bound that README's exit-code paragraph documents, and a flag's default is
+the one README's Commands table gives. These tests only parse: no command
+runs.
 """
 
 import contextlib
 import io
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -91,3 +94,32 @@ def test_a_flag_value_parses_inside_its_bound_or_is_a_usage_error(flag, value):
             _usage_error(flag, stderr.getvalue())
             return
     assert inside(getattr(args, flag[2:]))
+
+
+def _readme_defaults() -> list[tuple[str, str, str]]:
+    """Each ``--flag`` (value) of README's Commands table as (command, flag,
+    value), for the values that are numbers or hidden sizes."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("## Commands"):]
+    section = section[:section.index("\n\n", section.index("| command |"))]
+    entries = []
+    for command, flags in re.findall(r"^\| `mhi (\w+)` \|.*\| (.*) \|$", section, re.M):
+        for flag, value in re.findall(r"`(--[\w-]+)` \(([^)]*)\)", flags):
+            # Entries such as "(model tau)" or "(window/2)" are not numbers.
+            if re.fullmatch(r"[0-9.]+(,[0-9]+)*", value):
+                entries.append((command, flag, value))
+    return entries
+
+
+def test_readme_commands_table_lists_the_numeric_defaults():
+    assert {(command, flag) for command, flag, _ in _readme_defaults()} >= {
+        ("extract", "--theta"), ("extract", "--tau"), ("train", "--hidden"),
+        ("train", "--batch"), ("train", "--lr"), ("render", "--tau"),
+    }
+
+
+@pytest.mark.parametrize("command, flag, value", _readme_defaults())
+def test_readme_commands_table_defaults_match_the_parser(command, flag, value):
+    default = cli.build_parser().commands[command].get_default(flag[2:])
+    documented = cli._hidden_sizes(value) if flag == "--hidden" else float(value)
+    assert documented == default
