@@ -25,7 +25,10 @@ gradients into one set of buffers made once per run, takes one-hot targets
 gathered once per epoch, and forms the loss only to report a divergence.
 Its numpy calls are bound to those buffers once per run. Each of its numpy
 calls is a float operation of ``_forward`` or of a backprop on fresh arrays,
-so the bits are theirs. A net of more than ``MLP_MAX_PARAMS`` weights and
+so the bits are theirs: a product whose operands have every dimension >= 2
+runs through ``np.dot``, the same gemm as ``np.matmul`` at about half the
+call cost, and one with a dimension of 1 through ``np.matmul`` (see
+``_bind_product``). A net of more than ``MLP_MAX_PARAMS`` weights and
 biases is refused before any is drawn, and so is a pass whose widest layer
 would hold more than ``MLP_MAX_LAYER_VALUES`` values: the step's buffers and
 the selection pass grow with the rows, not with the parameters.
@@ -359,6 +362,21 @@ def _step_buffers(rows: int, sizes: list[int]) -> tuple:
     return outs, [np.empty_like(out) for out in outs[:-1]], np.empty((rows, 1))
 
 
+def _bind_product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> functools.partial:
+    """``a @ b`` into ``out``, bound: ``np.dot`` when every dimension of both
+    2-D float64 operands is >= 2, else ``np.matmul``.
+
+    On such operands, plain or transposed views, both call the same BLAS gemm
+    with beta 0 into the same C-contiguous ``out`` (which ``np.dot``
+    requires), so they write the same bits, and ``np.dot`` dispatches in
+    about half the time. With an inner dimension of 1 they can differ on a
+    zero: ``[[0.0]] @ [[-2.25]]`` is -0.0 by ``np.dot`` and +0.0 by
+    ``np.matmul``, so any dimension of 1 keeps ``np.matmul``.
+    """
+    product = np.dot if min(a.shape) > 1 and min(b.shape) > 1 else np.matmul
+    return functools.partial(product, a, b, out)
+
+
 def _step_plan(buffers, weights, biases, matrix, onehot, mask, grads_w, grads_b) -> tuple:
     """A backprop step on the leading ``matrix.shape[0]`` rows of
     ``_step_buffers``, bound once and run by ``_run_step`` any number of
@@ -371,9 +389,9 @@ def _step_plan(buffers, weights, biases, matrix, onehot, mask, grads_w, grads_b)
     only views, so a run reads whatever the bound arrays hold at that moment.
     A buffer's leading rows are C-contiguous, as a buffer of that many rows
     is. Each numpy call is a float operation of ``_forward`` or of a
-    backprop on fresh arrays, each product the same ``np.matmul``, so the
-    bits are theirs; ``delta -= onehot`` is ``delta[target] -= 1.0``, as
-    p - 0.0 = p.
+    backprop on fresh arrays, each product the same gemm as ``np.matmul``
+    (see ``_bind_product``), so the bits are theirs; ``delta -= onehot`` is
+    ``delta[target] -= 1.0``, as p - 0.0 = p.
     """
     bind = functools.partial
     n = matrix.shape[0]
@@ -381,11 +399,11 @@ def _step_plan(buffers, weights, biases, matrix, onehot, mask, grads_w, grads_b)
     outs, deltas, col = [out[:n] for out in outs], [back[:n] for back in deltas], col[:n]
     forward, layer_in = [], matrix
     for w, b, out in zip(weights[:-1], biases[:-1], outs):
-        forward += [bind(np.matmul, layer_in, w, out), bind(np.add, out, b, out),
+        forward += [_bind_product(layer_in, w, out), bind(np.add, out, b, out),
                     bind(np.tanh, out, out)]
         layer_in = out
     probs = outs[-1]
-    forward += [bind(np.matmul, layer_in, weights[-1], probs),
+    forward += [_bind_product(layer_in, weights[-1], probs),
                 bind(np.add, probs, biases[-1], probs),
                 bind(np.maximum.reduce, probs, 1, None, col, True),
                 bind(np.subtract, probs, col, probs), bind(np.exp, probs, probs),
@@ -400,13 +418,13 @@ def _step_plan(buffers, weights, biases, matrix, onehot, mask, grads_w, grads_b)
         # tanh'(z) expressed through the activation itself: 1 - a^2, formed
         # in the activation's buffer, which nothing reads after this.
         act, back = outs[layer - 1], deltas[layer - 1]
-        backward += [bind(np.matmul, act.T, delta, grads_w[layer]),
+        backward += [_bind_product(act.T, delta, grads_w[layer]),
                      bind(np.add.reduce, delta, 0, None, grads_b[layer]),
-                     bind(np.matmul, delta, weights[layer].T, back),
+                     _bind_product(delta, weights[layer].T, back),
                      bind(np.square, act, act), bind(np.subtract, 1.0, act, act),
                      bind(np.multiply, back, act, back)]
         delta = back
-    backward += [bind(np.matmul, matrix.T, delta, grads_w[0]),
+    backward += [_bind_product(matrix.T, delta, grads_w[0]),
                  bind(np.add.reduce, delta, 0, None, grads_b[0])]
     return tuple(forward), check, tuple(backward), probs, mask, n
 

@@ -382,7 +382,8 @@ def cmd_eval(args) -> int:
         model.standardizer.check(samples)
         matrix, _ = evaluate(model, samples)
     except (UnknownLabelError, FeatureOverflowError) as exc:
-        raise MhiError(f"{args.features}: {exc}") from exc
+        # The rows and the model disagree, and either file can be the wrong one.
+        raise MhiError(f"{args.features}: {exc} (model {args.model})") from exc
     except ForwardOverflowError as exc:
         raise MhiError(f"{args.model}: {exc}") from exc
     _write_out(args.out, matrix.to_csv())

@@ -57,7 +57,7 @@ from mhi.moments import (
     stack_features,
 )
 from mhi.temporal import _BLOCK, build_template, motion_masks
-from test_classify import training_matches_former_loop, training_samples
+from test_classify import dot_scan_mismatches, training_matches_former_loop, training_samples
 from test_diagnostics import _flood_fill_diagnostic
 from test_temporal import blocky_frames, window_templates
 
@@ -469,7 +469,9 @@ def kernel_probe() -> dict:
     ``predict`` entry of an MLP and a KNN model against its window alone.
     Trained weights are not exact either, so ``train_mismatches`` counts the
     small ``train_mlp`` runs whose model or history differs from the former
-    training loop's in this process.
+    training loop's in this process, and ``dot_mismatches`` the seeded
+    products, every dimension >= 2, on which ``np.dot`` and ``np.matmul``
+    differ in a bit: the premise of the SGD step's ``np.dot`` products.
     """
     rng = np.random.Generator(np.random.PCG64(11))
     frames = video_with_still(rng, 2 * _BLOCK + 15, 10, 12, 30, 20)
@@ -511,6 +513,7 @@ def kernel_probe() -> dict:
             for n, n_val, hidden, batch, seed in
             [(12, 4, (), 5, 1), (9, 0, (7,), 2, 2), (14, 3, (8, 6), 16, 3)]
         ),
+        "dot_mismatches": dot_scan_mismatches(14, 2000),
         "clip_mismatches": len(block_mismatches(clip_blocks, 12))
         + (rows != per_clip_rows(clips, 12)),
         "masks": digest([motion_masks(frames, THETA)]),
@@ -552,7 +555,7 @@ def run_probe(overrides: dict) -> dict:
 def test_blocks_and_exact_stages_hold_under_other_kernels():
     results = {name: run_probe(overrides) for name, overrides in KERNELS.items()}
     for key in ("mismatches", "tail_mismatches", "clip_mismatches", "train_mismatches",
-                "centroid_mismatches"):
+                "centroid_mismatches", "dot_mismatches"):
         assert {name: r[key] for name, r in results.items()} == dict.fromkeys(KERNELS, 0), key
     assert results["default"]["clip_blocks"] == [8, 3]
     for name, result in results.items():

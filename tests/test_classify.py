@@ -923,6 +923,109 @@ def test_a_plan_bound_once_follows_its_arrays_in_place(sizes, classes, rows, ext
         for got, want in zip(grads_w + grads_b, want_w + want_b):
             assert same_bits(got, want)
 
+# --- the step's products: np.dot where it gives np.matmul's bits ---
+
+#: Entries that round, overflow or turn a sum's sign: signed zeros, the least
+#: subnormal, values whose products overflow, and NaN.
+PRODUCT_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e200, -1e200,
+                    1e300, -1e300, np.nan]
+
+
+def product_operand(rng, rows, cols, transposed, special):
+    """A float64 ``(rows, cols)`` operand, C-contiguous or the transposed view
+    of a C-contiguous array, with normals scaled from subnormal to 1e300, a
+    ``special`` share of ``PRODUCT_SPECIALS`` and some rows of signed zeros."""
+    shape = (cols, rows) if transposed else (rows, cols)
+    values = rng.standard_normal(shape) * 10.0 ** rng.choice(
+        [-320, -300, -160, 0, 0, 0, 160, 300], size=shape)
+    picked = rng.random(shape) < special
+    values[picked] = rng.choice(PRODUCT_SPECIALS, size=int(picked.sum()))
+    values[rng.random(shape[0]) < 0.1] = rng.choice([0.0, -0.0])
+    return values.T if transposed else values
+
+
+def dot_matches_matmul(a, b) -> bool:
+    """``np.dot`` and ``np.matmul`` write the same bytes into NaN-filled outputs."""
+    by_dot, by_matmul = (np.full((a.shape[0], b.shape[1]), np.nan) for _ in range(2))
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        np.dot(a, b, by_dot)
+        np.matmul(a, b, by_matmul)
+    return by_dot.tobytes() == by_matmul.tobytes()
+
+
+def dot_scan_mismatches(seed, count) -> int:
+    """Products of ``count`` seeded operand pairs, every dimension in 2-40,
+    on which ``np.dot`` and ``np.matmul`` differ in a bit."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    bad = 0
+    for _ in range(count):
+        m, k, n = rng.integers(2, 41, size=3)
+        special = rng.choice([0.0, 0.1, 0.5])
+        a = product_operand(rng, m, k, rng.random() < 0.5, special)
+        b = product_operand(rng, k, n, rng.random() < 0.5, special)
+        bad += not dot_matches_matmul(a, b)
+    return bad
+
+
+@settings(max_examples=200, deadline=None)
+@given(dims=st.tuples(st.integers(2, 40), st.integers(2, 40), st.integers(2, 40)),
+       transposed=st.tuples(st.booleans(), st.booleans()),
+       special=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+@example(dims=(2, 2, 2), transposed=(False, True), special=1.0, seed=0)
+def test_dot_writes_the_bits_of_matmul_when_every_dimension_is_at_least_2(
+        dims, transposed, special, seed):
+    """The premise of ``classify._bind_product``: on 2-D float64 operands
+    with every dimension >= 2, plain or transposed, both run one gemm."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    m, k, n = dims
+    a = product_operand(rng, m, k, transposed[0], special)
+    b = product_operand(rng, k, n, transposed[1], special)
+    assert dot_matches_matmul(a, b)
+
+
+def test_dot_and_matmul_differ_on_a_zero_at_inner_dimension_1():
+    """Why ``classify._bind_product`` keeps ``np.matmul`` at any dimension of 1."""
+    a, b = np.array([[0.0]]), np.array([[-2.25]])
+    assert math.copysign(1.0, np.dot(a, b)[0, 0]) == -1.0
+    assert math.copysign(1.0, np.matmul(a, b)[0, 0]) == 1.0
+    assert not dot_matches_matmul(a, b)
+
+
+def bound_products(sizes, n, batch):
+    """The function behind each matrix product of each batch's step in a
+    one-epoch ``train_mlp`` run on ``n`` rows through layers of ``sizes``, in
+    plan order: the forward products, then ``act.T @ delta`` and
+    ``delta @ w.T`` per hidden layer from the last, then ``x.T @ delta``."""
+    step_plan, plans = classify._step_plan, []
+
+    def record(*args):
+        plans.append(step_plan(*args))
+        return plans[-1]
+
+    train, val = training_samples(sizes[-1], n, sizes[0], 2, 1.0, 7)
+    with mock.patch.object(classify, "_step_plan", record):
+        train_mlp(train, val, MlpConfig(hidden=tuple(sizes[1:-1]), epochs=1, batch=batch))
+    return [[call.func for call in (*forward, *backward) if call.func in (np.dot, np.matmul)]
+            for forward, _, backward, *_ in plans]
+
+
+def test_step_products_take_dot_only_when_every_dimension_is_at_least_2():
+    dot, matmul = np.dot, np.matmul
+    # The benchmark's net: 16 features, hidden (64, 32), 3 classes, batch 2.
+    assert bound_products([16, 64, 32, 3], 30, 2) == [[dot] * 8] * 15
+    # 1-row batches.
+    assert bound_products([4, 5, 3], 6, 1) == [[matmul] * 5] * 6
+    # 10 = 3 + 3 + 3 + 1: only the 1-row last batch stays on np.matmul.
+    assert bound_products([4, 5, 3], 10, 3) == [[dot] * 5] * 3 + [[matmul] * 5]
+    # A width-1 hidden layer touches every product.
+    assert bound_products([4, 1, 3], 10, 3)[:3] == [[matmul] * 5] * 3
+    assert bound_products([4, 6, 1, 3], 10, 3)[0] == [dot, *[matmul] * 6, dot]
+    # A 1-feature input: the products on the input, x @ w0 and x.T @ delta.
+    assert bound_products([1, 3], 10, 3)[0] == [matmul] * 2
+    assert bound_products([1, 5, 3], 10, 3)[0] == [matmul, dot, dot, dot, matmul]
+
+
 def test_mlp_size_bound_is_checked_before_any_weight(monkeypatch):
     train, val = training_samples(3, 9, 4, 2, 1.0, 7)
     cfg = MlpConfig(hidden=(5,), epochs=2, seed=1)
