@@ -270,17 +270,20 @@ class MlpModel:
         """Label with the highest probability; ties go to the lexicographically
         smaller label. Returns the full probability row as well. This is the
         one-row ``predict_rows``."""
-        (result,) = self.predict_rows(np.asarray(features, dtype=np.float64)[None, :])
-        return result
+        labels, probs = self.predict_rows(np.asarray(features, dtype=np.float64)[None, :])
+        return labels[0], probs[0]
 
-    def predict_rows(self, matrix: np.ndarray) -> list[tuple[str, np.ndarray]]:
-        """``predict`` of each row of an ``(N, F)`` matrix in one forward pass.
+    def predict_rows(self, matrix: np.ndarray) -> tuple[list[str], np.ndarray]:
+        """The ``predict`` label of each row of an ``(N, F)`` matrix and the
+        ``(N, C)`` probability matrix, from one forward pass.
 
         The pass runs on the ``(N, 1, F)`` layout, so each row takes the same
         one-row matmuls, and gets the same bits, as alone; the softmax runs
-        along the last axis. Raises ``ForwardOverflowError`` when the pass
-        overflows float64, which would saturate a tanh or turn a probability
-        into NaN.
+        along the last axis. The labels come from one argmax over the columns
+        put in ascending label order, whose first maximum is the smallest
+        label of the row's highest probability, whatever order ``labels``
+        has. Raises ``ForwardOverflowError`` when the pass overflows float64,
+        which would saturate a tanh or turn a probability into NaN.
         """
         rows = np.asarray(matrix, dtype=np.float64)[:, None, :]
         try:
@@ -288,11 +291,9 @@ class MlpModel:
                 probs = _forward(self.weights, self.biases, rows)[-1][:, 0]
         except FloatingPointError as exc:
             raise ForwardOverflowError(f"MLP forward pass overflows float64 ({exc})") from exc
-        return [(self._top_label(row), row) for row in probs]
-
-    def _top_label(self, probs: np.ndarray) -> str:
-        best = probs.max()
-        return min(l for l, p in zip(self.labels, probs) if p == best)
+        order = sorted(range(len(self.labels)), key=self.labels.__getitem__)
+        best = probs[:, order].argmax(axis=1).tolist()
+        return [self.labels[order[i]] for i in best], probs
 
 
 def _forward(
@@ -682,7 +683,8 @@ class TrainedModel:
         model = self.classifier
         if isinstance(model, KnnModel):
             return [(label, votes[label] / model.k) for label, votes in map(model.predict, matrix)]
-        return [(label, float(probs.max())) for label, probs in model.predict_rows(matrix)]
+        labels, probs = model.predict_rows(matrix)
+        return list(zip(labels, probs.max(axis=1).tolist()))
 
     def to_document(self) -> dict:
         model = self.classifier
@@ -715,7 +717,8 @@ class TrainedModel:
         The feature width is ``feature_dim`` if given, else that of the
         standardizer mean; every other array must agree with it. Arrays hold
         finite JSON numbers, ``standardizer.std`` is positive, ``labels`` and
-        ``knn.labels`` are lists of nonempty strings, ``tau``, ``knn.k`` and
+        ``knn.labels`` are lists of nonempty strings, ``labels`` is sorted and
+        unique (an MLP's softmax columns follow it), ``tau``, ``knn.k`` and
         the entries of the ``mlp.sizes`` list are integers >= 1, ``tau`` at
         most ``MAX_TAU``, and ``theta`` is a finite number.
         """
@@ -744,6 +747,9 @@ class TrainedModel:
                 labels=stored,
             )
         else:
+            # The softmax columns follow the sorted order ``train`` writes.
+            if labels != sorted(labels):
+                raise ModelFormatError(f"labels {labels} are not in sorted order")
             depth = len(_list(doc, "mlp.sizes"))
             sizes = [_count(doc, f"mlp.sizes.{l}") for l in range(depth)]
             if len(sizes) < 2 or sizes[0] != width or sizes[-1] != len(labels):

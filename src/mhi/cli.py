@@ -31,7 +31,7 @@ from .classify import (
     split_dataset,
     train_mlp,
 )
-from .diagnostics import detect_secondary_blobs
+from .diagnostics import blob_counts
 from .errors import (
     FeatureOverflowError,
     ForwardOverflowError,
@@ -403,11 +403,12 @@ def predict_windows(
     Windows start every ``stride`` frames; the trailing full window is always
     included so the end of the sequence is covered. Windows without motion get
     label "none" with score 0. Each entry carries the secondary-blob
-    diagnostic of its motion-energy image. Features, diagnostics and the
+    diagnostic of its motion-energy image. Features, blob counts and the
     classifier run once per block of windows, each window with the bits it
-    gets alone. ``seq.frames`` may be a stream such as ``read_frames``
-    yields: the windows are laid out from the record's length, and frames are
-    drawn as the windows reach them.
+    gets alone; with an MLP, the block's labels and scores come from one
+    pass over its probability matrix. ``seq.frames`` may be a stream such as
+    ``read_frames`` yields: the windows are laid out from the record's
+    length, and frames are drawn as the windows reach them.
     """
     n = len(seq)
     if n < 2:
@@ -425,20 +426,47 @@ def predict_windows(
     for block in pack_templates(windows, model.tau):
         features, moving = stack_features(block.stack, model.tau)
         results = iter(model.predict_rows(features))
-        blobs = detect_secondary_blobs(block.mei)
-        for (_, end), has_motion, blob in zip(block.spans, moving, blobs):
+        counts, warnings = blob_counts(block.mei)
+        for (_, end), has_motion, count, warning in zip(block.spans, moving, counts, warnings):
             label, score = next(results) if has_motion else ("none", 0.0)
             entries.append({
                 "start_frame": end - size + 1,
                 "end_frame": end,
                 "label": label,
-                "score": float(score),
-                "diagnostic": {
-                    "component_count": blob.component_count,
-                    "warning": blob.warning,
-                },
+                "score": score,
+                "diagnostic": {"component_count": count, "warning": warning},
             })
     return entries
+
+
+# One timeline entry as ``serialize.dumps`` lays it out inside the list.
+_TIMELINE_ENTRY = """  {
+    "start_frame": %d,
+    "end_frame": %d,
+    "label": %s,
+    "score": %s,
+    "diagnostic": {
+      "component_count": %d,
+      "warning": %s
+    }
+  }"""
+
+
+def timeline_to_json(entries: list[dict]) -> str:
+    """The timeline JSON of ``predict_windows``' entries, with a trailing
+    newline: the bytes of ``serialize.dumps(entries) + "\\n"``, one format
+    string per entry. A non-finite score raises ``ValueError``."""
+    if not entries:
+        return "[]\n"
+    return "[\n" + ",\n".join(
+        _TIMELINE_ENTRY % (
+            entry["start_frame"], entry["end_frame"], serialize._quote(entry["label"]),
+            serialize.format_float(entry["score"]),
+            entry["diagnostic"]["component_count"],
+            "true" if entry["diagnostic"]["warning"] else "false",
+        )
+        for entry in entries
+    ) + "\n]\n"
 
 
 def _frame_stream(directory: str) -> FrameSequence:
@@ -453,7 +481,7 @@ def cmd_predict(args) -> int:
         entries = predict_windows(model, _frame_stream(args.frames), args.window, args.stride)
     except ForwardOverflowError as exc:
         raise MhiError(f"{args.model}: {exc}") from exc
-    _write_out(args.out, serialize.dumps(entries) + "\n")
+    _write_out(args.out, timeline_to_json(entries))
     return 0
 
 

@@ -70,8 +70,9 @@ def _component_areas(flat: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarr
     return areas[first], start[first]
 
 
-def detect_secondary_blobs(masks: np.ndarray) -> list[BlobDiagnostic]:
-    """``detect_secondary_blob`` of each mask of a ``(B, H, W)`` stack.
+def blob_counts(masks: np.ndarray) -> tuple[list[int], list[bool]]:
+    """The component count and the warning of each mask of a ``(B, H, W)``
+    stack, as two lists: ``detect_secondary_blobs`` without its objects.
 
     All masks are labelled in one ``_component_areas`` call on the tall mask.
     A component's window is its first pixel's row over ``H + 1``, and two
@@ -88,8 +89,12 @@ def detect_secondary_blobs(masks: np.ndarray) -> list[BlobDiagnostic]:
     components = np.bincount(window, minlength=count)
     substantial = np.bincount(window[areas > AREA_FRACTION * (height * width)],
                               minlength=count)
-    return [BlobDiagnostic(component_count=n, warning=s >= 2)
-            for n, s in zip(components.tolist(), substantial.tolist())]
+    return components.tolist(), (substantial >= 2).tolist()
+
+
+def detect_secondary_blobs(masks: np.ndarray) -> list[BlobDiagnostic]:
+    """``detect_secondary_blob`` of each mask of a ``(B, H, W)`` stack."""
+    return [BlobDiagnostic(component_count=n, warning=w) for n, w in zip(*blob_counts(masks))]
 
 
 def detect_secondary_blob(mask: np.ndarray) -> BlobDiagnostic:

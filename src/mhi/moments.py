@@ -136,7 +136,12 @@ def _moments(imgs: np.ndarray, tau: int | None = None
 def _nu(m00: float, mu_row: list[float]) -> list[float]:
     """nu_pq of the orders ``_NU_ORDERS`` from Python-float moments, so each
     takes Python's scalar ``**``."""
-    return [mu / m00 ** (1.0 + (p + q) / 2.0) for (p, q), mu in zip(_NU_ORDERS, mu_row[3:])]
+    # The exponent 1 + (p+q)/2 is 2.0 for the three second-order moments and
+    # 2.5 for the four third-order ones, so each power is taken once.
+    mu02, mu11, mu20, mu03, mu12, mu21, mu30 = mu_row[3:]
+    second, third = m00**2.0, m00**2.5
+    return [mu02 / second, mu11 / second, mu20 / second,
+            mu03 / third, mu12 / third, mu21 / third, mu30 / third]
 
 
 def scale_invariant_moments(img: np.ndarray) -> MomentSet:

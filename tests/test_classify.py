@@ -331,6 +331,47 @@ def test_mlp_predict_uniform_and_tie_break():
     assert label == "a"
 
 
+@st.composite
+def tied_mlp_blocks(draw):
+    """An in-memory MLP with its labels in any order, a block of 1 to 6 rows,
+    and the output columns that tie exactly: zero weights and one shared
+    bias give those columns the same logit on every row. When every column
+    ties, so does every row."""
+    labels = draw(st.lists(st.text("abc\u00e9", min_size=1, max_size=2),
+                           min_size=2, max_size=5, unique=True))
+    classes, dim = len(labels), 3
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    weights = [rng.standard_normal((dim, 4)), rng.standard_normal((4, classes))]
+    biases = [rng.standard_normal(4), rng.standard_normal(classes)]
+    if draw(st.booleans()):
+        tied = list(range(classes))
+    else:
+        tied = sorted(draw(st.sets(st.integers(0, classes - 1), min_size=2)))
+    weights[1][:, tied] = 0.0
+    # A large shared bias makes the tied columns the row maximum more often.
+    biases[1][tied] = draw(st.sampled_from([0.0, -0.0, 3.0]))
+    model = MlpModel(sizes=[dim, 4, classes], weights=weights, biases=biases, labels=labels)
+    return model, rng.standard_normal((draw(st.integers(1, 6)), dim))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_mlp_blocks())
+def test_mlp_block_labels_and_scores_match_each_row_alone(case):
+    """``predict_rows`` takes a block's labels from one argmax over the
+    columns in label order; each row's label and score bits equal ``predict``
+    on the row alone and the rule "the smallest label of the row maximum"."""
+    mlp, rows = case
+    model = TrainedModel(tau=1, theta=10.0, classifier=mlp,
+                         standardizer=Standardizer(mean=np.zeros(3), std=np.ones(3)))
+    for (label, score), row in zip(model.predict_rows(rows), rows, strict=True):
+        alone_label, alone_score = model.predict(row)
+        _, probs = mlp.predict(row)
+        best = probs.max()
+        smallest = min(l for l, p in zip(mlp.labels, probs) if p == best)
+        assert label == alone_label == smallest
+        assert score.hex() == alone_score.hex() == float(best).hex()
+
+
 def test_mlp_probabilities_sum_to_one():
     rng = np.random.Generator(np.random.PCG64(47))
     model = train_mlp(blob_samples(), [], MlpConfig(hidden=(6,), epochs=10, seed=0))

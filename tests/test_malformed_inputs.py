@@ -1,7 +1,8 @@
-"""Malformed model JSON through ``mhi eval`` and ``mhi predict``: every
-mutation of a trained model exits with a documented code, an exit-2 message
-names the model, an output written on success reads back, and a failed
-command leaves the existing output as it was."""
+"""Malformed model JSON through ``mhi eval`` and ``mhi predict``, and a
+malformed feature CSV through ``mhi train`` and ``mhi eval``: every mutation
+exits with a documented code, an exit-2 message names the mutated file, an
+output written on success reads back, and a failed command leaves the
+existing outputs as they were."""
 
 import csv
 import io
@@ -14,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mhi.classify import TrainedModel
 from mhi.cli import main
+from mhi.moments import FEATURE_DIM
 from mhi.synth import specs_to_json, three_class_specs
 
 THETA, TAU = "10", "8"
@@ -138,8 +141,9 @@ def test_a_malformed_model_exits_with_a_documented_code(workspace, kind, data):
 
 
 def test_eval_names_the_model_and_the_csv_when_they_disagree_on_a_label(workspace):
-    """An MLP model's ``labels`` are checked only for count and uniqueness,
-    so an edited label reaches ``evaluate``; the message names both files."""
+    """An MLP model's ``labels`` are checked for count, order and uniqueness
+    only, so an edited label that keeps the order reaches ``evaluate``; the
+    message names both files."""
     root = workspace["root"]
     doc = json.loads(workspace["models"]["mlp"])
     doc["labels"][0] = "edited"
@@ -150,3 +154,65 @@ def test_eval_names_the_model_and_the_csv_when_they_disagree_on_a_label(workspac
     assert code == 2 and len(errors) == 1
     assert str(workspace["feats"]) in errors[0] and str(model) in errors[0]
     assert "not in ['edited'," in errors[0]
+
+
+def test_an_mlp_model_with_its_labels_out_of_order_is_refused(workspace):
+    """The softmax columns follow the sorted labels that ``train`` writes, so
+    a model with two labels swapped would name every window wrongly."""
+    root = workspace["root"]
+    doc = json.loads(workspace["models"]["mlp"])
+    doc["labels"][:2] = doc["labels"][1::-1]
+    model = root / "swapped.json"
+    model.write_text(json.dumps(doc))
+    for argv in (["eval", "--features", str(workspace["feats"])],
+                 ["predict", "--frames", str(workspace["frames"]), "--window", "4"]):
+        out = root / "swapped.out"
+        out.write_bytes(SENTINEL)
+        code, errors = _run([*argv, "--model", str(model), "--out", str(out)])
+        assert code == 2 and len(errors) == 1, (argv[0], errors)
+        assert str(model) in errors[0] and "not in sorted order" in errors[0]
+        assert out.read_bytes() == SENTINEL
+
+
+# --- malformed feature CSVs ---
+
+def _model_reads_back(path) -> None:
+    model = TrainedModel.load(path, FEATURE_DIM)
+    assert model.label_set == sorted(set(model.label_set))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_malformed_feature_csv_exits_with_a_documented_code(workspace, data):
+    root = workspace["root"]
+    feats = root / "mutated.csv"
+    feats.write_bytes(_mutate(workspace["feats"].read_bytes(), data.draw))
+    model_out, report_out, eval_out = (root / name for name in ("m.json", "m.txt", "e.csv"))
+    commands = {
+        "train knn": ["train", "--classifier", "knn", "--k", "3"],
+        "train mlp": ["train", "--classifier", "mlp", "--hidden", "5,3", "--epochs", "5"],
+    }
+    for name, argv in commands.items():
+        model_out.write_bytes(SENTINEL)
+        report_out.write_bytes(SENTINEL)
+        code, errors = _run([*argv, "--features", str(feats), "--theta", THETA, "--tau", TAU,
+                             "--out", str(model_out), "--report", str(report_out)])
+        assert code in (0, 1, 2, 3), name
+        if code == 0:
+            _model_reads_back(model_out)
+            assert report_out.read_text(encoding="utf-8").startswith("classifier: ")
+        else:
+            assert model_out.read_bytes() == report_out.read_bytes() == SENTINEL, name
+        if code == 2:
+            assert len(errors) == 1 and str(feats) in errors[0], (name, errors)
+    for kind in workspace["models"]:
+        eval_out.write_bytes(SENTINEL)
+        code, errors = _run(["eval", "--model", str(root / f"{kind}.json"),
+                             "--features", str(feats), "--out", str(eval_out)])
+        assert code in (0, 1, 2, 3), kind
+        if code == 0:
+            _confusion_reads_back(eval_out.read_text(encoding="utf-8"))
+        else:
+            assert eval_out.read_bytes() == SENTINEL, kind
+        if code == 2:
+            assert len(errors) == 1 and str(feats) in errors[0], (kind, errors)

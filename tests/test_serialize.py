@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mhi.cli import timeline_to_json
 from mhi.serialize import dump_bytes, dumps, format_float
 
 
@@ -149,3 +150,34 @@ values = st.recursive(
 @example({"w": [[0.5, math.inf]], 3: np.array(2.5)})
 def test_dumps_matches_former_writer(obj):
     assert outcome(dumps, obj) == outcome(dumps_before, obj)
+
+
+# --- the fixed-schema timeline writer of ``mhi predict`` ---
+
+def timeline_entry(start, end, label, score, count, warning):
+    """One entry laid out as ``predict_windows`` returns it."""
+    return {"start_frame": start, "end_frame": end, "label": label, "score": score,
+            "diagnostic": {"component_count": count, "warning": warning}}
+
+
+counts = st.integers(0, 2**40)
+finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308]))
+entries = st.lists(st.builds(timeline_entry, counts, counts, st.text(), finite, counts,
+                             st.booleans()), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries)
+@example([])
+@example([timeline_entry(0, 2**40, 'a"\\\x00\x1fé \U0001f600', -0.0, 0, True),
+          timeline_entry(3, 4, "", 5e-324, 2**40, False)])
+def test_timeline_writer_matches_dumps(entries):
+    assert timeline_to_json(entries) == dumps(entries) + "\n"
+
+
+@pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+def test_timeline_writer_refuses_a_non_finite_score(score):
+    entries = [timeline_entry(0, 1, "a", 0.5, 1, False), timeline_entry(1, 2, "b", score, 1, True)]
+    with pytest.raises(ValueError, match="non-finite"):
+        timeline_to_json(entries)
