@@ -239,7 +239,8 @@ def read_features_csv(path: str) -> list[LabeledSample]:
 
 def extract_samples(manifest: str, theta: float, tau: int) -> list[LabeledSample]:
     """Features for every manifest sequence; motion-free ones are skipped with
-    a warning. Pipeline errors are re-raised with the sequence directory.
+    a warning. Errors are re-raised naming the manifest, and a sequence's
+    errors also its directory.
 
     The whole-clip templates of consecutive same-shape sequences are packed
     into the blocks that ``predict`` uses, so the feature stage runs once per
@@ -258,8 +259,8 @@ def extract_samples(manifest: str, theta: float, tau: int) -> list[LabeledSample
             try:
                 seq = FrameSequence(read_frames(record, root), record)
                 window = clip_history(seq, theta, tau)
-            except MhiError as exc:
-                raise MhiError(f"sequence {record.dir}: {exc}") from exc
+            except (MhiError, OSError, ValueError) as exc:
+                raise MhiError(f"{manifest}: sequence {record.dir}: {exc}") from exc
             yield window
 
     samples = []

@@ -5,11 +5,12 @@ the motion-energy image and silently corrupt the moment features. Prediction
 proceeds regardless; the diagnostic is attached to the output so the caller
 can discount suspect windows.
 
-The masks of a block of windows are labelled in one pass: stacked as one tall
-mask with a blank row after each, so that no component crosses from one
-window into the next. The tall mask is laid out flat, with one False after
-each row and one before the first, so that one comparison of neighbouring
-values finds every run's edges. For a ``(B, H, W)`` block it is
+``blob_counts`` is the one entry point: it labels the masks of a block of
+windows in one pass, and ``detect_secondary_blob`` is its one-mask case. The
+masks are stacked as one tall mask with a blank row after each, so that no
+component crosses from one window into the next. The tall mask is laid out
+flat, with one False after each row and one before the first, so that one
+comparison of neighbouring values finds every run's edges. For a ``(B, H, W)`` block it is
 ``1 + B * (H + 1) * (W + 1)`` booleans, bounded like the block itself by the
 frame area.
 """
@@ -72,7 +73,7 @@ def _component_areas(flat: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarr
 
 def blob_counts(masks: np.ndarray) -> tuple[list[int], list[bool]]:
     """The component count and the warning of each mask of a ``(B, H, W)``
-    stack, as two lists: ``detect_secondary_blobs`` without its objects.
+    stack, as two lists.
 
     All masks are labelled in one ``_component_areas`` call on the tall mask.
     A component's window is its first pixel's row over ``H + 1``, and two
@@ -92,19 +93,15 @@ def blob_counts(masks: np.ndarray) -> tuple[list[int], list[bool]]:
     return components.tolist(), (substantial >= 2).tolist()
 
 
-def detect_secondary_blobs(masks: np.ndarray) -> list[BlobDiagnostic]:
-    """``detect_secondary_blob`` of each mask of a ``(B, H, W)`` stack."""
-    return [BlobDiagnostic(component_count=n, warning=w) for n, w in zip(*blob_counts(masks))]
-
-
 def detect_secondary_blob(mask: np.ndarray) -> BlobDiagnostic:
     """Count 8-connected components of a binary mask and flag multi-blob masks.
 
     ``warning`` is set when at least two components each exceed 1% of the
     image area; smaller specks never trigger it. A mask that is not 2-D
-    raises ``ValueError``. This is the one-mask ``detect_secondary_blobs``.
+    raises ``ValueError``. This is the one-mask case of ``blob_counts``.
     """
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise ValueError(f"blob mask must be 2-D, got shape {mask.shape}")
-    return detect_secondary_blobs(mask[None])[0]
+    (count,), (warning,) = blob_counts(mask[None])
+    return BlobDiagnostic(component_count=count, warning=warning)

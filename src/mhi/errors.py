@@ -36,7 +36,8 @@ class ManifestParseError(MhiError):
 
 
 class FrameRangeError(ManifestParseError):
-    """A manifest record has end < start; carries the 1-based line number."""
+    """A manifest record has end < start, or more frames than ``sys.maxsize``;
+    carries the 1-based line number."""
 
 
 class MissingFrameError(MhiError):

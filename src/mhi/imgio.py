@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -235,7 +236,8 @@ def load_manifest(text: str) -> list[SequenceRecord]:
 
     Blank lines are ignored. Errors carry the 1-based line number:
     ``ManifestParseError`` for anything that is not a valid record object,
-    ``FrameRangeError`` when ``end < start``.
+    ``FrameRangeError`` when ``end < start`` or the range holds more than
+    ``sys.maxsize`` frames.
     """
     records = []
     for line_no, line in enumerate(_LINE_BREAK.split(text), start=1):
@@ -269,6 +271,8 @@ def load_manifest(text: str) -> list[SequenceRecord]:
             raise FrameRangeError(
                 line_no, f"end {obj['end']} < start {obj['start']}"
             )
+        if obj["end"] - obj["start"] >= sys.maxsize:  # a length must be an index
+            raise FrameRangeError(line_no, f"start to end is more than {sys.maxsize} frames")
         records.append(
             SequenceRecord(dir=obj["dir"], start=obj["start"], end=obj["end"], label=label)
         )

@@ -232,13 +232,14 @@ def stack_features(stack: np.ndarray, tau: int | None = None
 
 
 def feature_vector(template: TemporalTemplate) -> np.ndarray:
-    """16-entry feature vector of one template: the one-window ``stack_features``.
+    """16-entry feature vector of one template: the one-window ``stack_features``,
+    given the template's ``tau`` as ``extract`` and ``predict`` give theirs.
 
     Raises ``NoMotionError`` when the template recorded no motion at all;
     callers decide whether to skip the window or report it.
     """
     stack = np.stack([template.mhi, template.mei], dtype=np.float64)
-    features, (has_motion,) = stack_features(stack)
+    features, (has_motion,) = stack_features(stack, template.tau)
     if not has_motion:
         raise NoMotionError("template has no motion support")
     return features[0]

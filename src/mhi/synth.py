@@ -165,15 +165,12 @@ def _entry_point(velocity: int, limit: int, rng: np.random.Generator) -> int:
 
 def _reflect(pos: int, limit: int) -> tuple[int, int]:
     # Reflect pos into [0, limit]; returns (position, velocity sign flip).
-    flip = 1
-    while pos < 0 or pos > limit:
-        if pos < 0:
-            pos = -pos
-            flip = -flip
-        if pos > limit:
-            pos = 2 * limit - pos
-            flip = -flip
-    return pos, flip
+    # The path folds at 0 and at limit, ceil(pos / limit) - 1 times above the
+    # range and ceil(-pos / limit) times below it: closed form, so that a
+    # velocity of any size takes one step.
+    folds = -(-pos // limit) - 1 if pos > limit else -(pos // limit) if pos < 0 else 0
+    folded = pos % (2 * limit)
+    return min(folded, 2 * limit - folded), -1 if folds % 2 else 1
 
 
 def render_clip(spec: SynthSpec, replicate: int = 0) -> np.ndarray:

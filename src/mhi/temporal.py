@@ -31,23 +31,22 @@ assignment.
 
 ``pack_templates`` turns history windows into templates in blocks of ``B``:
 a ``TemplateBlock`` holds one ``(2B, H, W)`` float64 stack, the ``B`` MHIs
-followed by their ``B`` MEIs as 0.0/1.0. The MHI half is written in two
-passes, 0.0 everywhere and then ``tau - age`` at the active pixels, so no
-idle pixel can read -0.0, and each value is an exact integer for ``tau`` up
-to ``MAX_TAU``. The moment stage runs once per block on all ``2B`` images,
-and the blob stage once on the block's uint8 MEI stack. The windows of one
-block may come from one video, as ``predict``'s sliding windows do, or
-from many clips of one frame shape, as the whole-clip templates of
-``extract`` do. ``B`` is at most 8 and holds each float64 MHI half of the
-stack to at most 1 MiB (8 windows up to 128x128, 2 at 256x256,
-1 above 362x362). ``pack_templates`` writes every block into the same
-buffers, so a yielded block is valid until the next one is drawn, as the
-``last`` of ``fold_history`` is. A video is thus processed holding one mask
-block of frames and one template block at a time: memory bounded by the
-frame size, whatever the video's length or the number of windows. The
-one-window twin of a block, ``TemporalTemplate``, which ``build_template``
-returns, holds the float64 MHI array ``mhi``, the uint8 MEI ``mei``, the
-window's ``frame_span`` and its ``tau``.
+followed by their ``B`` MEIs as 0.0/1.0. Each window's MEI and MHI are
+written straight from its ``last`` as it is drawn; no ages are formed. The
+moment stage runs once per block on all ``2B`` images, and the blob stage
+once on the block's uint8 MEI stack. The windows of one block may come from
+one video, as ``predict``'s sliding windows do, or from many clips of one
+frame shape, as the whole-clip templates of ``extract`` do. ``B`` is at most
+8 and holds each float64 MHI half of the stack to at most 1 MiB (8 windows
+up to 128x128, 2 at 256x256, 1 above 362x362). ``pack_templates`` writes
+every block into the same buffers, so a yielded block, its ``mei``
+included, is valid until the next one is drawn, as the ``last`` of
+``fold_history`` is. A video is thus processed holding one mask block of
+frames and one template block at a time: memory bounded by the frame size,
+whatever the video's length or the number of windows. The one-window twin
+of a block, ``TemporalTemplate``, which ``build_template`` returns, holds
+the float64 MHI array ``mhi``, the uint8 MEI ``mei``, the window's
+``frame_span`` and its ``tau``.
 """
 
 from __future__ import annotations
@@ -97,7 +96,8 @@ class TemplateBlock:
     ``stack`` is the ``(2B, H, W)`` float64 stack of the B MHIs followed by
     their B MEIs as 0.0/1.0; ``mhi`` is its first half, ``mei`` the same MEIs
     as a ``(B, H, W)`` uint8 stack, and ``spans`` each window's absolute frame
-    span. A block from ``pack_templates`` is valid until the next one is drawn.
+    span. A block from ``pack_templates`` is valid until the next one is
+    drawn, ``mei`` as well as ``stack``.
     """
 
     mei: np.ndarray
@@ -251,32 +251,37 @@ def pack_templates(windows, tau: int):
     another shape starts a new block. If drawing a window raises, the windows
     drawn before it still come out in a block before the error propagates.
 
-    Every block of one frame shape is written into the same stack, which
-    also holds the ages of the windows being gathered, so a block is valid
-    until the next one is drawn; copy what must outlive it.
+    Each window is written as it is drawn: its MEI, ``last > t - steps``,
+    into a bool ``(B, H, W)`` buffer, of which the block's ``mei`` is a
+    uint8 view, and its MHI row as 0.0 and then ``last + (tau - t)``, which
+    is ``tau - age``, at the active pixels. That is an exact integer for
+    ``tau`` up to ``MAX_TAU``. The MEI half of the stack is filled from the
+    bool buffer once per block. Every block of one frame shape is written
+    into the same stack and bool buffer, so a block is valid until the next
+    one is drawn; copy what must outlive it.
     """
-    ages = steps = stack = None
+    mei = stack = None
     spans = []
 
     def block():
         count = len(spans)
-        return _template_block(ages[:count], steps[:count], tau, spans, stack[: 2 * count])
+        stack[count : 2 * count] = mei[:count]
+        return TemplateBlock(mei[:count].view(np.uint8), spans, stack[: 2 * count])
 
     try:
-        for last, t, window_steps, span in windows:
-            if spans and (len(spans) == len(ages) or last.shape != ages.shape[1:]):
+        for last, t, steps, span in windows:
+            if spans and (len(spans) == len(mei) or last.shape != mei.shape[1:]):
                 yield block()
                 spans = []
-            if ages is None or last.shape != ages.shape[1:]:
+            if mei is None or last.shape != mei.shape[1:]:
                 size = block_size(last.shape)
                 stack = np.empty((2 * size, *last.shape), dtype=np.float64)
-                # The int32 ages fill the first half of the bytes of the MEI half,
-                # which ``_template_block`` writes only after it has read them.
-                ages = stack[size:].view(np.int32).reshape(-1)[: stack[size:].size]
-                ages = ages.reshape(size, *last.shape)
-                steps = np.empty((size, 1, 1), dtype=np.int32)
-            np.subtract(t, last, out=ages[len(spans)])
-            steps[len(spans)] = window_steps
+                mei = np.empty((size, *last.shape), dtype=bool)
+            active, mhi = mei[len(spans)], stack[len(spans)]
+            np.greater(last, t - steps, out=active)
+            # tau - age is at least 1 where active, so no -0.0 arises.
+            mhi.fill(0.0)
+            np.add(last, tau - t, out=mhi, where=active, dtype=np.float64)
             spans.append(span)
     except Exception:
         if spans:
@@ -284,21 +289,6 @@ def pack_templates(windows, tau: int):
         raise
     if spans:
         yield block()
-
-
-def _template_block(ages: np.ndarray, steps: np.ndarray, tau: int, spans,
-                    stack: np.ndarray) -> TemplateBlock:
-    """The block of ``len(ages)`` windows, written into ``stack``: the MHIs
-    into its first half and the MEIs, as 0.0/1.0, into its second. ``ages``
-    may lie in the bytes of the MEI half; it is read before that is written."""
-    active = ages < steps
-    mhi = stack[: len(ages)]
-    # Two passes: 0.0 everywhere, then tau - age at the active pixels only,
-    # where it is at least 1, so no -0.0 arises.
-    mhi.fill(0.0)
-    np.subtract(tau, ages, out=mhi, where=active, dtype=np.float64)
-    stack[len(ages) :] = active
-    return TemplateBlock(active.view(np.uint8), spans, stack)
 
 
 def build_template(seq: FrameSequence, theta: float, tau: int) -> TemporalTemplate:

@@ -36,7 +36,7 @@ import mhi
 from mhi import moments, temporal
 from mhi.classify import KnnModel, MlpConfig, Standardizer, TrainedModel, train_mlp
 from mhi.cli import extract_samples, predict_windows
-from mhi.diagnostics import detect_secondary_blob, detect_secondary_blobs
+from mhi.diagnostics import BlobDiagnostic, blob_counts, detect_secondary_blob
 from mhi.errors import NoMotionError, ZeroMassError
 from mhi.imgio import (
     FrameSequence,
@@ -142,7 +142,7 @@ def block_mismatches(blocks, tau):
     bad = []
     for block in blocks:
         features = block_features(block.stack, tau)
-        blobs = detect_secondary_blobs(block.mei)
+        blobs = [BlobDiagnostic(*pair) for pair in zip(*blob_counts(block.mei))]
         assert len(features) == len(blobs) == len(block.spans)
         for mhi, mei, span, got, blob in zip(block.mhi, block.mei, block.spans, features, blobs):
             if not same_bits(got, literal_features(mhi, mei)) or (
@@ -495,7 +495,7 @@ def kernel_probe() -> dict:
         return [np.array([ms.raw[k] for k in MOMENT_ORDERS]) for ms in stack_moments(stack)
                 if ms is not None]
 
-    blobs = [[d.component_count, d.warning] for b in blocks for d in detect_secondary_blobs(b.mei)]
+    blobs = [[n, w] for b in blocks for n, w in zip(*blob_counts(b.mei))]
     limit = exact_sums_limit(30, 40)
     near_limit = np.random.default_rng(13).integers(0, limit, (4, 30, 40), endpoint=True)
     return {

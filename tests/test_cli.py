@@ -1523,7 +1523,7 @@ def test_extract_log_keeps_manifest_order_when_a_later_sequence_fails(tmp_path, 
     lines = done.stderr.splitlines()
     assert lines[:2] == ["WARNING sequence still_a: no motion, skipped",
                          "WARNING sequence still_b: no motion, skipped"]
-    assert lines[2:] == [f"ERROR {message}"]
+    assert lines[2:] == [f"ERROR {manifest}: {message}"]
     assert not out.exists()
 
 

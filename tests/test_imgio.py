@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -365,6 +366,17 @@ def test_load_manifest_reversed_range():
     with pytest.raises(FrameRangeError) as info:
         load_manifest('{"dir": "a", "start": 4, "end": 3}')
     assert info.value.line_no == 1
+
+
+def test_load_manifest_refuses_a_range_longer_than_an_index():
+    # A sequence's length is a Python index: at most sys.maxsize frames.
+    longest = f'{{"dir": "a", "start": 5, "end": {sys.maxsize + 4}}}\n'
+    assert len(FrameSequence(iter([]), load_manifest(longest)[0])) == sys.maxsize
+    for end in (sys.maxsize + 5, 10**30):
+        with pytest.raises(FrameRangeError) as info:
+            load_manifest(longest + f'{{"dir": "a", "start": 5, "end": {end}}}')
+        assert info.value.line_no == 2
+        assert f"more than {sys.maxsize} frames" in str(info.value)
 
 
 @pytest.mark.parametrize("char", ["\x85", "\u2028", "\u2029"])

@@ -1,14 +1,17 @@
-"""Malformed model JSON through ``mhi eval`` and ``mhi predict``, and a
-malformed feature CSV through ``mhi train`` and ``mhi eval``: every mutation
-exits with a documented code, an exit-2 message names the mutated file, an
-output written on success reads back, and a failed command leaves the
-existing outputs as they were."""
+"""Malformed model JSON through ``mhi eval`` and ``mhi predict``, a
+malformed feature CSV through ``mhi train`` and ``mhi eval``, a malformed
+manifest through ``mhi extract`` and ``mhi train --manifest``, and a
+malformed synth spec through ``mhi synth``: every mutation exits with a
+documented code, an exit-2 message names the mutated file, an output written
+on success reads back, and a failed command leaves the existing outputs as
+they were."""
 
 import csv
 import io
 import json
 import logging
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -16,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mhi.classify import TrainedModel
-from mhi.cli import main
+from mhi.cli import main, read_features_csv
+from mhi.imgio import load_manifest_file, read_frames
 from mhi.moments import FEATURE_DIM
 from mhi.synth import specs_to_json, three_class_specs
 
@@ -49,7 +53,8 @@ def workspace(tmp_path_factory):
         assert main(["train", "--features", str(feats), "--classifier", kind,
                      "--theta", THETA, "--tau", TAU, *flags, "--out", str(path)]) == 0
         models[kind] = path.read_bytes()
-    return {"root": root, "feats": feats, "frames": clips / "slide_000", "models": models}
+    return {"root": root, "feats": feats, "frames": clips / "slide_000", "models": models,
+            "manifest": clips / "manifest.jsonl", "spec": spec}
 
 
 def _mutate(data: bytes, draw) -> bytes:
@@ -216,3 +221,59 @@ def test_a_malformed_feature_csv_exits_with_a_documented_code(workspace, data):
             assert eval_out.read_bytes() == SENTINEL, kind
         if code == 2:
             assert len(errors) == 1 and str(feats) in errors[0], (kind, errors)
+
+
+# --- malformed manifests and synth specs ---
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_malformed_manifest_exits_with_a_documented_code(workspace, data):
+    root, original = workspace["root"], workspace["manifest"]
+    # Beside the original, so that its relative directories still resolve.
+    manifest = original.parent / "mutated.jsonl"
+    manifest.write_bytes(_mutate(original.read_bytes(), data.draw))
+    feats_out, model_out, report_out = (root / name for name in ("x.csv", "x.json", "x.txt"))
+    pipeline = ["--manifest", str(manifest), "--theta", THETA, "--tau", TAU]
+    commands = {
+        "extract": (["extract", *pipeline, "--out", str(feats_out)], [feats_out],
+                    lambda: read_features_csv(str(feats_out))),
+        "train": (["train", *pipeline, "--classifier", "knn", "--k", "3",
+                   "--out", str(model_out), "--report", str(report_out)],
+                  [model_out, report_out], lambda: _model_reads_back(model_out)),
+    }
+    for name, (argv, outputs, reads_back) in commands.items():
+        for out in outputs:
+            out.write_bytes(SENTINEL)
+        code, errors = _run(argv)
+        assert code in (0, 1, 2, 3), name
+        if code == 0:
+            reads_back()
+        else:
+            assert all(out.read_bytes() == SENTINEL for out in outputs), name
+        if code == 2:
+            assert len(errors) == 1 and str(manifest) in errors[0], (name, errors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_malformed_synth_spec_exits_with_a_documented_code(workspace, data):
+    root = workspace["root"]
+    spec = root / "mutated_spec.json"
+    spec.write_bytes(_mutate(workspace["spec"].read_bytes(), data.draw))
+    out = root / "synth_out"
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir()
+    (out / "manifest.jsonl").write_bytes(SENTINEL)
+    code, errors = _run(["synth", "--spec", str(spec), "--out", str(out)])
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        records = load_manifest_file(out / "manifest.jsonl")
+        assert records
+        for record in records:
+            frames = list(read_frames(record, out))
+            assert len(frames) == record.end - record.start + 1
+    else:
+        assert [p.name for p in out.iterdir()] == ["manifest.jsonl"]
+        assert (out / "manifest.jsonl").read_bytes() == SENTINEL
+    if code == 2:
+        assert len(errors) == 1 and str(spec) in errors[0], errors

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from mhi import synth
 from mhi.errors import SynthSpecError
 from mhi.imgio import load_manifest_file, load_sequence, read_pgm_file
 from mhi.synth import (
@@ -159,6 +160,32 @@ def test_translate_reflects_at_edges():
     steps = np.diff(centers)
     assert steps.max() > 0 and steps.min() < 0  # direction flips at the wall
     assert centers.min() >= 3.0 and centers.max() <= 28.0
+
+
+def _reflect_step_by_step(pos, limit):
+    # The oracle: one fold per pass.
+    flip = 1
+    while pos < 0 or pos > limit:
+        if pos < 0:
+            pos, flip = -pos, -flip
+        if pos > limit:
+            pos, flip = 2 * limit - pos, -flip
+    return pos, flip
+
+
+def test_reflect_matches_folding_step_by_step():
+    for limit in range(1, 25):
+        for pos in range(-8 * limit, 8 * limit + 1):
+            assert synth._reflect(pos, limit) == _reflect_step_by_step(pos, limit), (pos, limit)
+
+
+def test_translate_with_a_huge_velocity_renders():
+    # Step by step, a velocity of 10**30 would take about 10**29 folds a frame.
+    spec = SynthSpec(name="t", program="translate", dx=10**30, dy=-(10**30) - 7,
+                     frames=6, size=16, rect=4)
+    clip = render_clip(spec)
+    assert clip.shape == (6, 16, 16)
+    assert all((frame == 255).sum() == 16 for frame in clip)
 
 
 def test_oscillate_moves_one_axis_with_period():

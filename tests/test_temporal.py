@@ -356,8 +356,45 @@ def test_window_templates_match_fold_oracle(case):
         assert got_mhi.dtype == mhi.dtype == np.float64
         assert got_mei.dtype == mei.dtype == np.uint8
         np.testing.assert_array_equal(got_mhi, mhi)
+        # Bytes, so an idle pixel written as -0.0 fails too.
+        assert got_mhi.tobytes() == mhi.tobytes()
         np.testing.assert_array_equal(got_mei, mei)
         assert got_span == span
+
+
+def test_whole_clips_pack_into_blocks_as_extract_packs_them():
+    """Whole-clip templates packed as ``extract`` packs them: clips of several
+    lengths, so ``steps`` differs inside one block, a change of frame shape
+    and back, and a partial last block, three windows per block. Each
+    template equals its clip's ``build_template`` and the fold oracle, byte
+    for byte, and each block's uint8 MEI stack equals its 0/1 MEI half."""
+    rng = np.random.Generator(np.random.PCG64(21))
+    tau = 9
+    clips = [blocky_frames(rng, n, h, w) for n, h, w in
+             [(5, 4, 5), (14, 4, 5), (2, 4, 5), (11, 4, 5), (9, 5, 4), (3, 5, 4), (12, 4, 5)]]
+    seqs = [FrameSequence(frames, SequenceRecord(f"c{i}", 2 * i, 2 * i + len(frames) - 1))
+            for i, frames in enumerate(clips)]
+    with mock.patch.object(temporal, "_BLOCK_VALUES", 3 * 12 * 15):
+        blocks = [copy.deepcopy(b) for b in temporal.pack_templates(
+            (temporal.clip_history(seq, 10.0, tau) for seq in seqs), tau)]
+    assert [len(b.spans) for b in blocks] == [3, 1, 2, 1]
+    for block in blocks:
+        count = len(block.spans)
+        assert block.stack.shape == (2 * count, *block.mei.shape[1:])
+        assert block.mei.dtype == np.uint8
+        assert block.stack[count:].tobytes() == block.mei.astype(np.float64).tobytes()
+    windows = [w for block in blocks for w in zip(block.mhi, block.mei, block.spans)]
+    assert len(windows) == len(seqs)
+    for seq, (mhi, mei, span) in zip(seqs, windows):
+        alone = build_template(seq, 10.0, tau)
+        assert mhi.tobytes() == alone.mhi.tobytes()
+        assert mei.tobytes() == alone.mei.tobytes()
+        assert span == alone.frame_span
+        want_mhi, want_mei, want_span = window_oracle(seq.frames, 10.0, tau, len(seq), 0,
+                                                      seq.record.start)
+        assert mhi.tobytes() == want_mhi.tobytes()
+        np.testing.assert_array_equal(mei, want_mei)
+        assert span == want_span
 
 
 @pytest.mark.parametrize("tau", [2**31 - 1, 2**31, 2**60])
