@@ -45,6 +45,7 @@ from .errors import (
 )
 from .imgio import (
     FrameSequence,
+    frame_index,
     load_manifest_file,
     read_frames,
     scan_frame_dir,
@@ -134,6 +135,40 @@ def _shared_file(args) -> str | None:
         for other, other_path in files[i + 1:]:
             if _same_file(path, other_path):
                 return f"{flag} and {other} name the same file: {path}"
+    return None
+
+
+def _frame_clash(args) -> str | None:
+    """The usage error for an ``--out`` or ``--report`` that names a frame
+    file the command reads: a frame of ``predict``'s ``--frames``, or of a
+    record of the ``--manifest`` given to ``extract`` or ``train``. An output
+    is matched by the directory and name it resolves to, the target that
+    ``_write_files`` replaces; a frame file that is itself a symlink is not
+    followed."""
+    if args.command != "predict" and getattr(args, "manifest", None) is None:
+        return None
+    try:
+        outputs = []
+        for flag, path in (("--out", args.out), ("--report", getattr(args, "report", None))):
+            if path is not None:
+                real = os.path.realpath(path)
+                index = frame_index(os.path.basename(real))
+                if index is not None:
+                    outputs.append((flag, path, os.path.dirname(real), index))
+        if not outputs:
+            return None
+        if args.command == "predict":
+            records, root = [scan_frame_dir(args.frames)], ""
+        else:
+            records = load_manifest_file(args.manifest)
+            root = os.path.dirname(os.path.abspath(args.manifest))
+        for record in records:
+            directory = os.path.realpath(os.path.join(root, record.dir))
+            for flag, path, parent, index in outputs:
+                if parent == directory and record.start <= index <= record.end:
+                    return f"{flag} names a frame the command reads: {path}"
+    except (MhiError, OSError, ValueError):
+        pass  # frames that cannot be listed, or a bad path or manifest: the command reports it
     return None
 
 
@@ -245,22 +280,25 @@ def extract_samples(manifest: str, theta: float, tau: int) -> list[LabeledSample
     The whole-clip templates of consecutive same-shape sequences are packed
     into the blocks that ``predict`` uses, so the feature stage runs once per
     block. Each sequence's frames are read as its masks need them. A failing
-    sequence raises only after the sequences before it are done, so the
-    warnings and the error come out in manifest order.
+    sequence ends the window stream, and its error is raised once the clips
+    before it are done, so the warnings and the error come out in manifest order.
     """
     try:
         records = load_manifest_file(manifest)
     except (MhiError, ValueError) as exc:
         raise MhiError(f"{manifest}: {exc}") from exc
     root = os.path.dirname(os.path.abspath(manifest))
+    failure = None
 
     def windows():
+        nonlocal failure
         for record in records:
             try:
                 seq = FrameSequence(read_frames(record, root), record)
                 window = clip_history(seq, theta, tau)
             except (MhiError, OSError, ValueError) as exc:
-                raise MhiError(f"{manifest}: sequence {record.dir}: {exc}") from exc
+                failure = MhiError(f"{manifest}: sequence {record.dir}: {exc}"), exc
+                return
             yield window
 
     samples = []
@@ -278,6 +316,8 @@ def extract_samples(manifest: str, theta: float, tau: int) -> list[LabeledSample
                 label=record.label or "",
                 source=f"{record.dir}:{first}-{last}",
             ))
+    if failure is not None:
+        raise failure[0] from failure[1]
     return samples
 
 
@@ -607,7 +647,7 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
-    shared = _shared_file(args)
+    shared = _shared_file(args) or _frame_clash(args)
     if shared is not None:
         build_parser().commands[args.command].error(shared)
     try:

@@ -298,6 +298,14 @@ def frame_path(directory: str | os.PathLike, index: int) -> str:
     return os.path.join(directory, f"{index:06d}.pgm")
 
 
+def frame_index(name: str) -> int | None:
+    """The index whose ``frame_path`` file is named ``name``, or None."""
+    stem = name[:-4]
+    if stem.isdecimal() and frame_path("", int(stem)) == name:
+        return int(stem)
+    return None
+
+
 def scan_frame_dir(directory: str) -> SequenceRecord:
     """The record from the lowest to the highest frame index in ``directory``.
 
@@ -306,11 +314,7 @@ def scan_frame_dir(directory: str) -> SequenceRecord:
     run without a gap: ``MissingFrameError`` names the first absent frame,
     so a stray high index fails here rather than set the record's length.
     """
-    indices = sorted(
-        int(name[:-4])
-        for name in os.listdir(directory)
-        if name[:-4].isdecimal() and frame_path("", int(name[:-4])) == name
-    )
+    indices = sorted(i for i in map(frame_index, os.listdir(directory)) if i is not None)
     if not indices:
         raise MhiError(f"no NNNNNN.pgm frames in {directory}")
     start, end = indices[0], indices[-1]

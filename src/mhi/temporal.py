@@ -248,8 +248,8 @@ def pack_templates(windows, tau: int):
     ``windows`` yields ``(last, t, steps, span)`` as ``fold_history`` does,
     from one video or from many clips. Consecutive windows of one frame shape
     share a block of at most ``block_size(shape)`` windows; a window of
-    another shape starts a new block. If drawing a window raises, the windows
-    drawn before it still come out in a block before the error propagates.
+    another shape starts a new block. ``cli.extract_samples`` orders a
+    failing clip's error after the warnings of the clips before it.
 
     Each window is written as it is drawn: its MEI, ``last > t - steps``,
     into a bool ``(B, H, W)`` buffer, of which the block's ``mei`` is a
@@ -268,25 +268,20 @@ def pack_templates(windows, tau: int):
         stack[count : 2 * count] = mei[:count]
         return TemplateBlock(mei[:count].view(np.uint8), spans, stack[: 2 * count])
 
-    try:
-        for last, t, steps, span in windows:
-            if spans and (len(spans) == len(mei) or last.shape != mei.shape[1:]):
-                yield block()
-                spans = []
-            if mei is None or last.shape != mei.shape[1:]:
-                size = block_size(last.shape)
-                stack = np.empty((2 * size, *last.shape), dtype=np.float64)
-                mei = np.empty((size, *last.shape), dtype=bool)
-            active, mhi = mei[len(spans)], stack[len(spans)]
-            np.greater(last, t - steps, out=active)
-            # tau - age is at least 1 where active, so no -0.0 arises.
-            mhi.fill(0.0)
-            np.add(last, tau - t, out=mhi, where=active, dtype=np.float64)
-            spans.append(span)
-    except Exception:
-        if spans:
+    for last, t, steps, span in windows:
+        if spans and (len(spans) == len(mei) or last.shape != mei.shape[1:]):
             yield block()
-        raise
+            spans = []
+        if mei is None or last.shape != mei.shape[1:]:
+            size = block_size(last.shape)
+            stack = np.empty((2 * size, *last.shape), dtype=np.float64)
+            mei = np.empty((size, *last.shape), dtype=bool)
+        active, mhi = mei[len(spans)], stack[len(spans)]
+        np.greater(last, t - steps, out=active)
+        # tau - age is at least 1 where active, so no -0.0 arises.
+        mhi.fill(0.0)
+        np.add(last, tau - t, out=mhi, where=active, dtype=np.float64)
+        spans.append(span)
     if spans:
         yield block()
 

@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +327,19 @@ def test_train_deterministic(workspace):
         "--theta", THETA, "--tau", TAU, "--out", str(again),
     ]) == 0
     assert again.read_bytes() == workspace["knn"].read_bytes()
+
+
+@pytest.mark.parametrize("kind, flags", [("knn", []), ("mlp", ["--epochs", "40"])])
+def test_train_from_the_manifest_writes_the_bytes_of_extract_then_train(workspace, tmp_path,
+                                                                       kind, flags):
+    model = tmp_path / "m.json"
+    assert main([
+        "train", "--manifest", str(workspace["clips"] / "manifest.jsonl"), "--classifier", kind,
+        "--theta", THETA, "--tau", TAU, *flags, "--out", str(model),
+    ]) == 0
+    assert model.read_bytes() == workspace[kind].read_bytes()
+    report = workspace[kind].with_suffix(".report.txt")
+    assert (tmp_path / "m.report.txt").read_bytes() == report.read_bytes()
 
 
 def test_eval_confusion_csv(workspace, tmp_path):
@@ -825,6 +839,66 @@ def test_an_output_that_is_one_of_the_commands_files_is_refused(workspace, tmp_p
                         f"name the same file: {path}\n")
     assert sorted(tmp_path.rglob("*")) == files
     assert [entry.read_bytes() for entry in files if entry.is_file()] == before
+
+
+@pytest.mark.parametrize("case", [
+    "predict_out", "predict_out_through_a_symlink", "extract_out", "train_manifest_out",
+    "train_manifest_report",
+])
+def test_an_output_that_is_a_frame_the_command_reads_is_refused(workspace, tmp_path, capsys,
+                                                                monkeypatch, case):
+    clips = shutil.copytree(workspace["clips"], tmp_path / "clips")
+    manifest = str(clips / "manifest.jsonl")
+    frame = Path(frame_path(clips / "slide_000", 3))
+    link = tmp_path / "link.pgm"
+    link.symlink_to(frame)
+    train = ["train", "--manifest", manifest, "--classifier", "knn"]
+    argv, flag, path = {
+        "predict_out": (["predict", "--model", str(workspace["knn"]), "--frames",
+                         str(clips / "slide_000"), "--out", str(frame)], "--out", frame),
+        "predict_out_through_a_symlink": (["predict", "--model", str(workspace["knn"]),
+                                           "--frames", str(clips / "slide_000"),
+                                           "--out", str(link)], "--out", str(link)),
+        "extract_out": (["extract", "--manifest", manifest, "--out", str(frame)], "--out", frame),
+        "train_manifest_out": (train + ["--out", str(frame)], "--out", frame),
+        "train_manifest_report": (train + ["--out", str(tmp_path / "m.json"),
+                                           "--report", str(frame)],
+                                  "--report", frame),
+    }[case]
+    before = frame.read_bytes()
+    reads = []
+    monkeypatch.setattr(imgio, "read_pgm_file", reads.append)
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        f"\nmhi {argv[0]}: error: {flag} names a frame the command reads: {path}\n")
+    assert reads == []
+    assert frame.read_bytes() == before
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_a_frame_named_output_that_no_command_input_holds_is_written(workspace, tmp_path):
+    # Past the scanned frames, in another directory, or beside a manifest
+    # whose records lie elsewhere: each is an ordinary output.
+    clips = shutil.copytree(workspace["clips"], tmp_path / "clips")
+    beyond = Path(frame_path(clips / "slide_000", 12))
+    assert main(["predict", "--model", str(workspace["knn"]), "--frames",
+                 str(clips / "slide_000"), "--out", str(beyond)]) == 0
+    assert json.loads(beyond.read_text())
+    for out in (Path(frame_path(tmp_path, 0)), Path(frame_path(clips, 0))):
+        assert main(["extract", "--manifest", str(clips / "manifest.jsonl"),
+                     "--theta", THETA, "--tau", TAU, "--out", str(out)]) == 0
+        assert out.read_bytes() == workspace["feats"].read_bytes()
+
+
+def test_a_manifest_that_does_not_load_is_left_to_the_command(tmp_path, caplog):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("[\n")
+    out = frame_path(tmp_path, 0)
+    assert main(["extract", "--manifest", str(manifest), "--out", out]) == 2
+    assert f"{manifest}: line 1: invalid JSON" in caplog.text
+    assert not os.path.exists(out)
 
 
 def test_a_path_no_file_can_have_is_still_a_data_error(workspace, tmp_path, caplog):
@@ -1338,7 +1412,13 @@ def _truncate(path):
         fh.truncate(100)
 
 
-@pytest.mark.parametrize("defect", [_remove, _resize, _truncate],
+def _overwrite(path):
+    # What an output written over a frame leaves: text with no PGM magic.
+    with open(path, "w") as fh:
+        fh.write("[]\n")
+
+
+@pytest.mark.parametrize("defect", [_remove, _resize, _truncate, _overwrite],
                          ids=lambda f: f.__name__.strip("_"))
 @pytest.mark.parametrize("command", ["predict", "render", "extract"])
 def test_bad_frame_past_the_first_mask_block_names_it_and_writes_nothing(

@@ -1,5 +1,6 @@
-"""Every demo script runs to completion against the source tree, and demo
-05's seam table reads a timeline as its docstring says."""
+"""Every demo script runs to completion against the source tree and is
+named in README's Demos list, and demo 05's seam table reads a timeline as
+its docstring says."""
 
 import importlib.util
 import os
@@ -21,6 +22,13 @@ def test_demo_runs(demo, tmp_path):
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert not list(tmp_path.glob("mhi_demo_*"))
+
+
+def test_readme_names_every_demo():
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("\n## Demos\n"):]
+    section = section[:section.index("\n## ", 1)]
+    assert [demo.name for demo in DEMOS if f"`{demo.name}`" not in section] == []
 
 
 def _seam_table():

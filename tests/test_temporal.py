@@ -430,3 +430,16 @@ def test_build_template_is_a_one_window_block():
     np.testing.assert_array_equal(template.mhi, block.mhi[0])
     np.testing.assert_array_equal(template.mei, block.mei[0])
     assert template.frame_span == block.spans[0] == (4, 11)
+
+
+def test_an_error_drawing_a_window_leaves_the_packer_at_once():
+    # One window and then an error: the first block drawn is the error, not
+    # a one-window block that hides it.
+    seq = make_translating_sequence(frames=6, step=2)
+
+    def windows():
+        yield temporal.clip_history(seq, 10.0, 5)
+        raise ValueError("bad window")
+
+    with pytest.raises(ValueError, match="bad window"):
+        next(temporal.pack_templates(windows(), 5))
