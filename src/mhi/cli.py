@@ -112,61 +112,60 @@ def _report_path(args) -> str:
     return args.report or os.path.splitext(args.out)[0] + ".report.txt"
 
 
-def _same_file(a: str, b: str) -> bool:
+def _identity(path: str):
+    """What ``_write_files`` replaces at ``path``: an existing file's
+    ``(st_dev, st_ino)``, symlinks followed; a missing one's real path; else None."""
     try:
-        if os.path.exists(a) and os.path.exists(b):
-            return os.path.samefile(a, b)
-        return os.path.realpath(a) == os.path.realpath(b)
+        st = os.stat(path)
+    except FileNotFoundError:
+        return os.path.realpath(path)
     except (OSError, ValueError):  # say an embedded NUL byte, which open() reports
-        return False
+        return None
+    return st.st_dev, st.st_ino
 
 
-def _shared_file(args) -> str | None:
-    """The usage error for an output flag that names the same file as another
-    of the command's file flags (outputs first, then inputs), or None."""
-    paths = {name: getattr(args, name, None)
-             for name in ("out", "report", "features", "manifest", "model")}
-    if args.command == "train":
-        paths["report"] = _report_path(args)
-    files = [(f"--{name}", path) for name, path in paths.items() if path is not None]
-    for i, (flag, path) in enumerate(files):
-        if flag not in ("--out", "--report"):
-            break
-        for other, other_path in files[i + 1:]:
-            if _same_file(path, other_path):
+def _clash(args) -> str | None:
+    """The usage error for an output that is the same file, by ``_identity``,
+    as a later output, an input file or a frame the command reads, or None.
+    Outputs are ``--out`` and ``--report`` (``train``'s default included), or
+    ``render``'s two images. Frames are listed only when some output exists,
+    as a new output cannot be one: an ``os.scandir`` per record, and a
+    ``stat`` only for an entry that is a symlink or has an output's inode
+    number. Frames or a manifest that do not load are left to the command."""
+    report = _report_path(args) if args.command == "train" else None
+    paths = [("--out", args.out), ("--report", report)]
+    if args.command == "render":
+        paths = [("--out", os.path.join(args.out, name)) for name in ("mei.pgm", "mhi.pgm")]
+    paths += [(f"--{name}", getattr(args, name, None))
+              for name in ("features", "manifest", "model")]
+    files = [(flag, path, _identity(path)) for flag, path in paths if path is not None]
+    existing = {}
+    for i, (flag, path, identity) in enumerate(files):
+        if flag not in ("--out", "--report") or identity is None:
+            continue
+        for other, _, other_identity in files[i + 1:]:
+            if identity == other_identity:
                 return f"{flag} and {other} name the same file: {path}"
-    return None
-
-
-def _frame_clash(args) -> str | None:
-    """The usage error for an ``--out`` or ``--report`` that names a frame
-    file the command reads: a frame of ``predict``'s ``--frames``, or of a
-    record of the ``--manifest`` given to ``extract`` or ``train``. An output
-    is matched by the directory and name it resolves to, the target that
-    ``_write_files`` replaces; a frame file that is itself a symlink is not
-    followed."""
-    if args.command != "predict" and getattr(args, "manifest", None) is None:
+        if isinstance(identity, tuple):
+            existing[identity] = f"{flag} names a frame the command reads: {path}"
+    if not existing:
         return None
     try:
-        outputs = []
-        for flag, path in (("--out", args.out), ("--report", getattr(args, "report", None))):
-            if path is not None:
-                real = os.path.realpath(path)
-                index = frame_index(os.path.basename(real))
-                if index is not None:
-                    outputs.append((flag, path, os.path.dirname(real), index))
-        if not outputs:
-            return None
-        if args.command == "predict":
-            records, root = [scan_frame_dir(args.frames)], ""
-        else:
+        records, root = [], ""
+        if args.command in ("predict", "render"):
+            records = [scan_frame_dir(args.frames)]
+        elif getattr(args, "manifest", None) is not None:
             records = load_manifest_file(args.manifest)
             root = os.path.dirname(os.path.abspath(args.manifest))
+        inodes = {inode for _, inode in existing}
         for record in records:
-            directory = os.path.realpath(os.path.join(root, record.dir))
-            for flag, path, parent, index in outputs:
-                if parent == directory and record.start <= index <= record.end:
-                    return f"{flag} names a frame the command reads: {path}"
+            with os.scandir(os.path.join(root, record.dir)) as entries:
+                for entry in entries:
+                    if ((entry.is_symlink() or entry.inode() in inodes)
+                            and (index := frame_index(entry.name)) is not None
+                            and record.start <= index <= record.end
+                            and (clash := existing.get(_identity(entry.path)))):
+                        return clash
     except (MhiError, OSError, ValueError):
         pass  # frames that cannot be listed, or a bad path or manifest: the command reports it
     return None
@@ -647,9 +646,9 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
     args = build_parser().parse_args(argv)
-    shared = _shared_file(args) or _frame_clash(args)
-    if shared is not None:
-        build_parser().commands[args.command].error(shared)
+    clash = _clash(args)
+    if clash is not None:
+        build_parser().commands[args.command].error(clash)
     try:
         return args.func(args)
     except NonFiniteLossError as exc:

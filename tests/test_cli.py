@@ -841,9 +841,15 @@ def test_an_output_that_is_one_of_the_commands_files_is_refused(workspace, tmp_p
     assert [entry.read_bytes() for entry in files if entry.is_file()] == before
 
 
+_FRAME_OUTPUTS = ("predict_out", "extract_out", "train_manifest_out", "train_manifest_report")
+
+
 @pytest.mark.parametrize("case", [
     "predict_out", "predict_out_through_a_symlink", "extract_out", "train_manifest_out",
     "train_manifest_report",
+    *(command + "_symlinked_frame" for command in _FRAME_OUTPUTS),
+    *(command + "_hard_linked_frame" for command in _FRAME_OUTPUTS),
+    "render_mei_through_a_symlink", "render_mhi_hard_linked",
 ])
 def test_an_output_that_is_a_frame_the_command_reads_is_refused(workspace, tmp_path, capsys,
                                                                 monkeypatch, case):
@@ -852,20 +858,44 @@ def test_an_output_that_is_a_frame_the_command_reads_is_refused(workspace, tmp_p
     frame = Path(frame_path(clips / "slide_000", 3))
     link = tmp_path / "link.pgm"
     link.symlink_to(frame)
-    train = ["train", "--manifest", manifest, "--classifier", "knn"]
+    # Frame 3 of pulse_000 is a symlink to ``stored``; ``hard`` and
+    # ``h/mhi.pgm`` are further names of frame 3 of slide_000.
+    linked = Path(frame_path(clips / "pulse_000", 3))
+    stored, hard = tmp_path / "f3.pgm", tmp_path / "hard.pgm"
+    linked.rename(stored)
+    linked.symlink_to(stored)
+    os.link(frame, hard)
+    (tmp_path / "r").mkdir()
+    (tmp_path / "r" / "mei.pgm").symlink_to(frame)
+    (tmp_path / "h").mkdir()
+    os.link(frame, tmp_path / "h" / "mhi.pgm")
+
+    def refused(command, out, frames="slide_000"):
+        """``command``'s argv writing ``out``, the flag that names it, and ``out``."""
+        train = ["train", "--manifest", manifest, "--classifier", "knn"]
+        argv, flag = {
+            "predict_out": (["predict", "--model", str(workspace["knn"]),
+                             "--frames", str(clips / frames), "--out", str(out)], "--out"),
+            "extract_out": (["extract", "--manifest", manifest, "--out", str(out)], "--out"),
+            "train_manifest_out": (train + ["--out", str(out)], "--out"),
+            "train_manifest_report": (train + ["--out", str(tmp_path / "m.json"),
+                                               "--report", str(out)], "--report"),
+        }[command]
+        return argv, flag, out
+
+    render = ["render", "--frames", str(clips / "slide_000"), "--out"]
     argv, flag, path = {
-        "predict_out": (["predict", "--model", str(workspace["knn"]), "--frames",
-                         str(clips / "slide_000"), "--out", str(frame)], "--out", frame),
-        "predict_out_through_a_symlink": (["predict", "--model", str(workspace["knn"]),
-                                           "--frames", str(clips / "slide_000"),
-                                           "--out", str(link)], "--out", str(link)),
-        "extract_out": (["extract", "--manifest", manifest, "--out", str(frame)], "--out", frame),
-        "train_manifest_out": (train + ["--out", str(frame)], "--out", frame),
-        "train_manifest_report": (train + ["--out", str(tmp_path / "m.json"),
-                                           "--report", str(frame)],
-                                  "--report", frame),
+        **{command: refused(command, frame) for command in _FRAME_OUTPUTS},
+        "predict_out_through_a_symlink": refused("predict_out", link),
+        **{command + "_symlinked_frame": refused(command, stored, "pulse_000")
+           for command in _FRAME_OUTPUTS},
+        **{command + "_hard_linked_frame": refused(command, hard) for command in _FRAME_OUTPUTS},
+        "render_mei_through_a_symlink": (render + [str(tmp_path / "r")], "--out",
+                                         tmp_path / "r" / "mei.pgm"),
+        "render_mhi_hard_linked": (render + [str(tmp_path / "h")], "--out",
+                                   tmp_path / "h" / "mhi.pgm"),
     }[case]
-    before = frame.read_bytes()
+    before = frame.read_bytes(), stored.read_bytes()
     reads = []
     monkeypatch.setattr(imgio, "read_pgm_file", reads.append)
     with pytest.raises(SystemExit) as info:
@@ -874,7 +904,7 @@ def test_an_output_that_is_a_frame_the_command_reads_is_refused(workspace, tmp_p
     assert capsys.readouterr().err.endswith(
         f"\nmhi {argv[0]}: error: {flag} names a frame the command reads: {path}\n")
     assert reads == []
-    assert frame.read_bytes() == before
+    assert (frame.read_bytes(), stored.read_bytes()) == before
     assert not (tmp_path / "m.json").exists()
 
 
@@ -899,6 +929,52 @@ def test_a_manifest_that_does_not_load_is_left_to_the_command(tmp_path, caplog):
     assert main(["extract", "--manifest", str(manifest), "--out", out]) == 2
     assert f"{manifest}: line 1: invalid JSON" in caplog.text
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["predict", "render", "extract", "train"])
+def test_new_outputs_list_no_frames_and_load_no_manifest(workspace, tmp_path, monkeypatch,
+                                                         command):
+    clips = str(workspace["clips"])
+    argv = {
+        "predict": ["predict", "--model", str(workspace["knn"]),
+                    "--frames", f"{clips}/slide_000", "--out", str(tmp_path / "t.json")],
+        "render": ["render", "--frames", f"{clips}/slide_000", "--out", str(tmp_path)],
+        "extract": ["extract", "--manifest", f"{clips}/manifest.jsonl",
+                    "--out", str(tmp_path / "f.csv")],
+        "train": ["train", "--manifest", f"{clips}/manifest.jsonl", "--classifier", "knn",
+                  "--out", str(tmp_path / "m.json")],
+    }[command]
+    args = cli.build_parser().parse_args(argv)
+    calls = []
+
+    def counted(fn):
+        def call(*a, **kw):
+            calls.append(fn.__name__)
+            return fn(*a, **kw)
+        return call
+
+    # ``load_manifest_file`` is patched under the name ``cli`` calls it by.
+    for module, name in ((os, "scandir"), (os, "listdir"), (cli, "load_manifest_file")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    assert cli._clash(args) is None
+    assert calls == []
+    # Once an output exists, the same check lists the frames.
+    (tmp_path / ("mei.pgm" if command == "render" else os.path.basename(argv[-1]))).touch()
+    assert cli._clash(args) is None
+    assert "scandir" in calls
+    assert ("listdir" if command in ("predict", "render") else "load_manifest_file") in calls
+
+
+def test_a_missing_frame_an_output_would_create_is_a_data_error(workspace, tmp_path, caplog):
+    # A new output cannot be a frame the command reads, so it is not refused:
+    # the frame is missing, and the run stops there and writes nothing.
+    clips = shutil.copytree(workspace["clips"], tmp_path / "clips")
+    frame = frame_path(clips / "slide_000", 3)
+    os.remove(frame)
+    assert main(["extract", "--manifest", str(clips / "manifest.jsonl"), "--out", frame]) == 2
+    assert f"missing frame 3 ({frame})" in caplog.text
+    assert not os.path.exists(frame)
+    assert not list(tmp_path.glob("clips/slide_000/.mhi-*"))
 
 
 def test_a_path_no_file_can_have_is_still_a_data_error(workspace, tmp_path, caplog):
